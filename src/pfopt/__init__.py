@@ -16,15 +16,11 @@ from .core import (
     NumericError,
     Objective,
     PfwParams,
-    Point,
     SolverError,
     StochasticOracle,
     UnsupportedSetError,
-    inner,
-    matrix,
     params_deterministic,
     params_stochastic,
-    vector,
 )
 from .linalg import FullSvd, SvdTriplet, full_svd, nuclear_norm, top_singular_triplet
 from .objectives import (
@@ -53,7 +49,6 @@ __all__ = [
     "Objective",
     "PenaltySpec",
     "PfwParams",
-    "Point",
     "RunTrace",
     "SolverError",
     "StochasticOracle",
@@ -63,11 +58,9 @@ __all__ = [
     "full_svd",
     "gaussian_oracle",
     "hypercube_l1_optimum",
-    "inner",
     "l1_distance",
     "l1_value_subgrad",
     "lipschitz_extend",
-    "matrix",
     "nuclear_norm",
     "params_deterministic",
     "params_stochastic",
@@ -78,5 +71,4 @@ __all__ = [
     "pgd_run",
     "sgd_run",
     "top_singular_triplet",
-    "vector",
 ]

@@ -40,15 +40,17 @@ class GradientStep:
 class IterateLog:
     """Full per-iteration history, populated only on request.
 
-    Row j corresponds to loop iteration k = j + 1: qs[j] is the drift Q_k
-    steering that iteration, gs[j] the subgradient taken at y_k, and xs[j],
-    ys[j] the freshly produced x_{k+1}, y_{k+1}.
+    Row j corresponds to loop iteration k = j + 1: xs[j], ys[j] are the
+    freshly produced x_{k+1}, y_{k+1}.  The drift solver also records qs[j],
+    the drift Q_k steering that iteration, and gs[j], the subgradient taken
+    at y_k; the projected baselines have neither, so both are None there,
+    and their ys is xs.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    qs: np.ndarray
-    gs: np.ndarray
+    qs: Optional[np.ndarray] = None
+    gs: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,8 @@ def _projected_loop(
         except UnsupportedSetError:
             raise
         except Exception as exc:
-            raise SolverError(f"oracle failure: {exc}", k) from exc
-        _guard(x, k)
+            raise SolverError(f"oracle failure: {exc}", k + 1) from exc
+        _guard(x, k + 1)
         sum_x += x
         per_iter.append(
             (k, float(objective_value(x)), 0.0, time.perf_counter() - t0)
@@ -201,7 +203,7 @@ def _projected_loop(
     log = None
     if record_iterates:
         arr = np.array(xs)
-        log = IterateLog(xs=arr, ys=arr, qs=np.zeros_like(arr), gs=np.zeros_like(arr))
+        log = IterateLog(xs=arr, ys=arr)
     return RunTrace(
         xbar=xbar,
         f_xbar=float(objective_value(xbar)),

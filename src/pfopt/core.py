@@ -1,9 +1,9 @@
-"""Shared domain types: shape-tagged points, oracle handles, step schedules."""
+"""Shared domain types: feasible sets, oracle handles, step schedules."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,74 +29,8 @@ class SolverError(RuntimeError):
 
 
 def _as_flat(x) -> np.ndarray:
-    """Coerce a Point or array-like to a flat float64 array."""
-    if isinstance(x, Point):
-        return x.data
-    arr = np.asarray(x, dtype=float)
-    return arr.ravel()
-
-
-@dataclass(frozen=True)
-class Point:
-    """A dense point in R^n with a shape tag.
-
-    ``shape`` is either ``("vector", n)`` or ``("matrix", m, n)``; matrix
-    data is stored flattened row-major so set oracles can reshape.
-    """
-
-    data: np.ndarray
-    shape: Tuple
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float).ravel()
-        if self.shape[0] == "vector":
-            expected = self.shape[1]
-        elif self.shape[0] == "matrix":
-            expected = self.shape[1] * self.shape[2]
-        else:
-            raise DimensionError(f"unknown shape tag {self.shape!r}")
-        if arr.size != expected:
-            raise DimensionError(
-                f"data length {arr.size} does not match shape {self.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("point has non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.data.size
-
-    def as_matrix(self) -> np.ndarray:
-        if self.shape[0] != "matrix":
-            raise DimensionError("not a matrix-shaped point")
-        return self.data.reshape(self.shape[1], self.shape[2])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-
-def vector(values) -> Point:
-    arr = np.asarray(values, dtype=float).ravel()
-    return Point(arr, ("vector", arr.size))
-
-
-def matrix(values) -> Point:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError("matrix() expects a 2-D array")
-    return Point(arr.ravel(), ("matrix", arr.shape[0], arr.shape[1]))
-
-
-def inner(a, b) -> float:
-    """Euclidean inner product; Frobenius inner product for matrix points."""
-    if isinstance(a, Point) and isinstance(b, Point) and a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    fa, fb = _as_flat(a), _as_flat(b)
-    if fa.size != fb.size:
-        raise DimensionError(f"length mismatch: {fa.size} vs {fb.size}")
-    return float(np.dot(fa, fb))
+    """Coerce an array-like to a flat float64 array."""
+    return np.asarray(x, dtype=float).ravel()
 
 
 class FeasibleSet:

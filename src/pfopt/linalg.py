@@ -1,4 +1,10 @@
-"""Desk-scale dense SVD helpers: top singular triplet and full decomposition."""
+"""Desk-scale dense SVD helpers: top singular triplet and full decomposition.
+
+``top_singular_triplet`` picks its method from the matrix size: one thin
+LAPACK SVD when ``min(m, n) <= _DENSE_MAX_DIM``, power iteration on the Gram
+operator above it, with the same dense SVD answering whenever the power
+iteration does not converge.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,17 @@ import numpy as np
 from .core import NumericError
 
 _MAX_FULL_SVD_DIM = 512
+# Size crossover of top_singular_triplet, measured on the drift matrices -Q_k
+# that pfw produces on nuclear_l1 instances (k x k, outside anchor, tau = 5,
+# T = 40, six anchors; numpy with one BLAS thread on a 2-core Xeon).  Mean
+# power-iteration time over one thin SVD: 1.9 at k = 160, 1.3 at 200, 0.63 at
+# 240, 0.17 at 300.  Below that the drift matrices are ill-gapped (median
+# sigma2/sigma1 0.98), power iteration takes a median of 200-400 steps
+# against a dense SVD worth 9 steps at k = 20 and 120 at k = 100, and its
+# stall exit missed tau*sigma1 by more than 1e-8 at k = 160-225.  The
+# crossover rises with T: at T = 100, power iteration still takes 2.7x the
+# SVD's time at k = 256.
+_DENSE_MAX_DIM = 256
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 5000
 
@@ -41,10 +58,13 @@ def _fix_sign(u: np.ndarray, v: np.ndarray):
 
 
 def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
-    """Leading singular triplet by power iteration on the Gram operator.
+    """Leading singular triplet; u1's first nonzero coordinate is positive.
 
-    Deterministic: all-ones start vector, perturbed deterministically once if
-    the iteration stalls.  Raises NumericError on non-convergence.
+    When ``min(m, n) <= _DENSE_MAX_DIM`` it is the first triplet of one thin
+    dense SVD.  Above that, power iteration on the Gram operator from the
+    all-ones vector, and the same dense SVD if the iteration does not
+    converge.  Deterministic.  Raises ValueError on non-finite input; it does
+    not raise NumericError (a LAPACK failure surfaces as LinAlgError).
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
@@ -56,78 +76,43 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
         u[0] = 1.0
         v[0] = 1.0
         return SvdTriplet(u1=u, s1=0.0, v1=v, degenerate=True)
-
-    def _iterate(v0: np.ndarray):
-        v = v0 / np.linalg.norm(v0)
-        history = []
-        for it in range(_POWER_MAX_ITER):
-            w = A.T @ (A @ v)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return None, None, it  # start orthogonal to the row space
-            v_new = w / nw
-            s = float(np.linalg.norm(A @ v_new))
-            # vector alignment is sign-insensitive
-            if min(np.linalg.norm(v_new - v), np.linalg.norm(v_new + v)) <= _POWER_TOL:
-                return v_new, s, it + 1
-            # the value estimate grows monotonically; a stalled window means the
-            # unresolved components are near-ties whose residual error is below
-            # the stall threshold itself
-            history.append(s)
-            if len(history) > 20 and s - history[-21] <= 1e-10 * max(1.0, s):
-                return v_new, s, it + 1
-            v = v_new
-        return None, None, _POWER_MAX_ITER
-
-    start = np.ones(n)
-    v, s, iters = _iterate(start)
+    v = None
+    if min(m, n) > _DENSE_MAX_DIM:
+        v, s = _power_iteration(A)
     if v is None:
-        # deterministic perturbation on stall
-        start = np.ones(n) + 1e-3 * np.arange(1, n + 1)
-        v, s, extra = _iterate(start)
-        iters += extra
-    if v is None:
-        # tiny spectral gaps defeat plain iteration; repeated Gram squaring
-        # collapses the operator onto the leading subspace for any gap
-        v, s = _gram_squaring_vector(A)
-        if v is None:
-            raise NumericError(
-                f"power iteration failed to converge after {iters} iterations"
-            )
-    u = A @ v
-    nu = np.linalg.norm(u)
-    if nu == 0.0:
-        raise NumericError("power iteration collapsed to the null space")
-    u = u / nu
+        U, S, Vt = np.linalg.svd(A, full_matrices=False)
+        u, s, v = U[:, 0], float(S[0]), Vt[0]
+    else:
+        u = A @ v
+        u = u / np.linalg.norm(u)
     u, v = _fix_sign(u, v)
     return SvdTriplet(u1=u, s1=s, v1=v)
 
 
-def _gram_squaring_vector(A: np.ndarray):
-    """Leading right singular vector by normalized repeated squaring of the
-    smaller Gram matrix; deterministic and gap-insensitive at desk scale."""
-    m, n = A.shape
-    M = A.T @ A if n <= m else A @ A.T
-    for _ in range(60):
-        M = M @ M
-        f = np.linalg.norm(M)
-        if f == 0.0 or not np.isfinite(f):
-            return None, None
-        M = M / f
-    w = M[:, int(np.argmax(np.linalg.norm(M, axis=0)))]
-    nw = np.linalg.norm(w)
-    if nw == 0.0:
-        return None, None
-    w = w / nw
-    v = w if n <= m else A.T @ w
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return None, None
-    v = v / nv
-    for _ in range(3):  # polish against the original operator
-        v = A.T @ (A @ v)
-        v = v / np.linalg.norm(v)
-    return v, float(np.linalg.norm(A @ v))
+def _power_iteration(A: np.ndarray):
+    """Leading right singular vector and value, or (None, None) on no
+    convergence within _POWER_MAX_ITER steps."""
+    v = np.ones(A.shape[1])
+    v = v / np.linalg.norm(v)
+    history = []
+    for _ in range(_POWER_MAX_ITER):
+        w = A.T @ (A @ v)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return None, None  # start orthogonal to the row space
+        v_new = w / nw
+        s = float(np.linalg.norm(A @ v_new))
+        # vector alignment is sign-insensitive
+        if min(np.linalg.norm(v_new - v), np.linalg.norm(v_new + v)) <= _POWER_TOL:
+            return v_new, s
+        # the value estimate grows monotonically; stop once 20 steps have
+        # added at most 1e-10 relative.  On near-tied spectra this stops short
+        # of sigma1, which is why small matrices take the dense path.
+        history.append(s)
+        if len(history) > 20 and s - history[-21] <= 1e-10 * max(1.0, s):
+            return v_new, s
+        v = v_new
+    return None, None
 
 
 def full_svd(A: np.ndarray) -> FullSvd:

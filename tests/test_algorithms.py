@@ -142,7 +142,32 @@ class TestPfwRun:
         )
         with pytest.raises(SolverError) as err:
             pfw_run(bad, fs, params_deterministic(1.0, fs.radius, 10), fs.center)
-        assert err.value.iteration >= 1
+        assert err.value.iteration == 1
+
+        # a failure in the first step is iteration 1 in every solver, on the
+        # oracle-failure path (raises) and on the iterate guard (NaN)
+        def raises(x):
+            raise RuntimeError("oracle down")
+
+        for subgrad in (raises, lambda x: np.full(3, np.nan)):
+            bad = Objective(value=lambda x: 0.0, subgrad=subgrad, lipschitz=1.0)
+            noisy = StochasticOracle(
+                base=bad,
+                noisy_subgrad=lambda x, rng: subgrad(x),
+                second_moment=1.0,
+                seed=0,
+            )
+            runs = (
+                lambda: pfw_run(
+                    bad, fs, params_deterministic(1.0, fs.radius, 10), fs.center
+                ),
+                lambda: pgd_run(bad, fs, 0.1, 10, fs.center),
+                lambda: sgd_run(noisy, fs, 0.1, 10, fs.center),
+            )
+            for run in runs:
+                with pytest.raises(SolverError) as err:
+                    run()
+                assert err.value.iteration == 1
 
     def test_nan_oracle_fails(self):
         fs = Hypercube(3)
@@ -178,6 +203,9 @@ class TestPgdRun:
         trace = pgd_run(obj, fs, beta, 1, x0, record_iterates=True)
         g0 = obj.subgrad(x0)
         assert np.array_equal(trace.iterates.xs[0], x0 - beta * g0)
+        # drift and subgradient histories belong to the drift solver only
+        assert trace.iterates.qs is None
+        assert trace.iterates.gs is None
 
     def test_averages_over_T_plus_one(self):
         fs = Hypercube(1)

@@ -2,67 +2,11 @@ import numpy as np
 import pytest
 
 from pfopt import (
-    DimensionError,
     Objective,
     StochasticOracle,
-    inner,
-    matrix,
     params_deterministic,
     params_stochastic,
-    vector,
 )
-
-
-class TestPoint:
-    def test_vector_roundtrip(self):
-        p = vector([1.0, 2.0, 3.0])
-        assert p.shape == ("vector", 3)
-        assert p.dim == 3
-
-    def test_matrix_flattens_row_major(self):
-        p = matrix([[1.0, 2.0], [3.0, 4.0]])
-        assert p.shape == ("matrix", 2, 2)
-        assert list(p.data) == [1.0, 2.0, 3.0, 4.0]
-        assert np.array_equal(p.as_matrix(), [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            vector([1.0, np.nan])
-        with pytest.raises(ValueError):
-            vector([np.inf, 0.0])
-
-    def test_data_is_read_only(self):
-        p = vector([1.0, 2.0])
-        with pytest.raises(ValueError):
-            p.data[0] = 5.0
-
-
-class TestInner:
-    def test_direct_sum(self):
-        assert inner(vector([1, 2, 3]), vector([4, 5, 6])) == 32.0
-
-    def test_zero_vector(self):
-        assert inner(vector([1.5, -2.5]), vector([0, 0])) == 0.0
-
-    def test_matches_naive_loop(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.standard_normal(8), rng.standard_normal(8)
-        naive = 0.0
-        for ai, bi in zip(a, b):
-            naive += ai * bi
-        assert inner(vector(a), vector(b)) == pytest.approx(naive, abs=1e-12)
-
-    def test_frobenius_for_matrices(self):
-        a = matrix([[1.0, 2.0], [3.0, 4.0]])
-        b = matrix([[5.0, 6.0], [7.0, 8.0]])
-        assert inner(a, b) == 5 + 12 + 21 + 32
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            inner(vector([1, 2]), vector([1, 2, 3]))
-        # same length but different shape tags is still a mismatch
-        with pytest.raises(DimensionError):
-            inner(vector([1, 2, 3, 4]), matrix([[1, 2], [3, 4]]))
 
 
 class TestDeterministicParams:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pfopt import full_svd, nuclear_norm, top_singular_triplet
+from pfopt.linalg import _DENSE_MAX_DIM
 
 
 class TestTopSingularTriplet:
@@ -32,8 +33,10 @@ class TestTopSingularTriplet:
 
     def test_matches_full_svd(self):
         rng = np.random.default_rng(29)
-        for _ in range(50):
-            A = rng.standard_normal((8, 6))
+        # 8 x 6 takes the dense path, 300 x (_DENSE_MAX_DIM + 1) the power path
+        shapes = [(8, 6)] * 50 + [(300, _DENSE_MAX_DIM + 1)] * 3
+        for shape in shapes:
+            A = rng.standard_normal(shape)
             t = top_singular_triplet(A)
             assert t.s1 == pytest.approx(full_svd(A).S[0], abs=1e-8)
 

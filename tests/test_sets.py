@@ -9,8 +9,12 @@ from pfopt import (
     NuclearBall,
     VertexPolytope,
     full_svd,
+    l1_distance,
     nuclear_norm,
+    params_deterministic,
+    pfw_run,
 )
+from pfopt.linalg import _DENSE_MAX_DIM
 
 
 def random_feasible_nuclear(rng, m, n, tau):
@@ -115,6 +119,25 @@ class TestNuclearLmo:
             A = rng.standard_normal((5, 4))
             out = ball.lmo(A.ravel()).reshape(5, 4)
             assert np.sum(A * out) == pytest.approx(-tau * full_svd(A).S[0], abs=1e-8)
+
+    @pytest.mark.parametrize("k, T", [(20, 300), (_DENSE_MAX_DIM + 1, 40)])
+    def test_value_accurate_on_solver_drift(self, k, T):
+        # the drift matrices pfw steers by are ill-gapped, unlike Gaussian
+        # ones; criterion 5's instance on each side of the size crossover
+        tau = 5.0
+        ball = NuclearBall(k, k, tau)
+        W = np.random.default_rng(55).standard_normal((k, k))
+        W *= 2 * tau / nuclear_norm(W)
+        obj = l1_distance(W.ravel())
+        trace = pfw_run(
+            obj, ball, params_deterministic(obj.lipschitz, ball.radius, T),
+            ball.center, record_iterates=True,
+        )
+        for Q in trace.iterates.qs:
+            A = -Q.reshape(k, k)
+            sigma1 = np.linalg.svd(A, compute_uv=False)[0]
+            value = np.sum(A * ball.lmo(A.ravel()).reshape(k, k))
+            assert tau * sigma1 + value <= 1e-8
 
     def test_output_is_rank_one_on_the_sphere(self):
         tau = 3.0
