@@ -13,7 +13,6 @@ from .algorithms import (
 from .core import (
     DimensionError,
     FeasibleSet,
-    NumericError,
     Objective,
     PfwParams,
     SolverError,
@@ -45,7 +44,6 @@ __all__ = [
     "Hypercube",
     "IterateLog",
     "NuclearBall",
-    "NumericError",
     "Objective",
     "PenaltySpec",
     "PfwParams",

@@ -3,9 +3,8 @@ deterministic and stochastic flavors, plus projected-subgradient baselines."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -40,11 +39,16 @@ class GradientStep:
 class IterateLog:
     """Full per-iteration history, populated only on request.
 
-    Row j corresponds to loop iteration k = j + 1: xs[j], ys[j] are the
-    freshly produced x_{k+1}, y_{k+1}.  The drift solver also records qs[j],
-    the drift Q_k steering that iteration, and gs[j], the subgradient taken
-    at y_k; the projected baselines have neither, so both are None there,
-    and their ys is xs.
+    This is the only per-iteration record a run keeps; ask for it with
+    ``record_iterates=True``.  Each array has one row per loop iteration and
+    the problem dimension as its second axis, so a run with no iterations
+    (the drift solver at T=1) gives shape (0, d).  Row j corresponds to loop
+    iteration k = j + 1: xs[j], ys[j] are the freshly produced x_{k+1},
+    y_{k+1}.  The drift solver also records qs[j], the drift Q_k steering that
+    iteration, and gs[j], the subgradient taken at y_k; the projected
+    baselines have neither, so both are None there, and their ys is xs.
+    Per-iteration values such as f(ys[j]) or ||qs[j]|| are derived from these
+    rows.
     """
 
     xs: np.ndarray
@@ -55,15 +59,14 @@ class IterateLog:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Result of one solver run: averaged iterate plus diagnostics.
+    """Result of one solver run: averaged iterate, its value, the parameters.
 
-    per_iter rows are (k, f at the query point, ||Q_k||, elapsed seconds);
-    the baselines have no drift accumulator and log 0.0 there.
+    Per-iteration history lives in ``iterates``, which is None unless the
+    run was asked for it with ``record_iterates=True``.
     """
 
     xbar: np.ndarray
     f_xbar: float
-    per_iter: List[Tuple[int, float, float, float]]
     params: object
     iterates: Optional[IterateLog] = None
 
@@ -81,54 +84,80 @@ def _check_start(feasible_set: FeasibleSet, x: np.ndarray):
         raise ValueError("start point lies outside the set's enclosing ball")
 
 
-def _drift_loop(
-    objective_value,
-    get_subgrad,
-    feasible_set: FeasibleSet,
-    params: PfwParams,
-    x1,
-    record_iterates: bool,
-) -> RunTrace:
-    """Shared loop: accumulate drift Q, step x by the LMO, relax y."""
-    x = _as_flat(x1).copy()
-    _check_start(feasible_set, x)
+def _drift_steps(get_subgrad, feasible_set: FeasibleSet, params: PfwParams, x):
+    """The paper's update: accumulate drift Q, step x by the LMO, relax y.
+
+    Yields (x, y, Q, g) once per iteration; Q is updated in place.
+    """
     y = x.copy()
     Q = np.zeros_like(x)
-    sum_x = x.copy()
-    alpha, eta, T = params.alpha, params.eta, params.horizon
-    per_iter: List[Tuple[int, float, float, float]] = []
-    xs, ys, qs, gs = [], [], [], []
-    t0 = time.perf_counter()
-    for k in range(1, T):
+    alpha, eta = params.alpha, params.eta
+    while True:
         Q += y - x
-        try:
-            g = np.asarray(get_subgrad(y), dtype=float)
-            x = np.asarray(feasible_set.lmo(-Q), dtype=float)
-        except Exception as exc:
-            raise SolverError(f"oracle failure: {exc}", k) from exc
+        g = np.asarray(get_subgrad(y), dtype=float)
+        x = np.asarray(feasible_set.lmo(-Q), dtype=float)
         y = (alpha * y + eta * x - eta * Q - g) / (alpha + eta)
-        _guard(x, k)
-        _guard(y, k)
-        sum_x += x
-        per_iter.append(
-            (k, float(objective_value(y)), float(np.linalg.norm(Q)),
-             time.perf_counter() - t0)
-        )
-        if record_iterates:
-            xs.append(x.copy())
-            ys.append(y.copy())
-            qs.append(Q.copy())
-            gs.append(g)
-    xbar = sum_x / T
+        yield x, y, Q, g
+
+
+def _projected_steps(
+    get_subgrad, feasible_set: FeasibleSet, step: GradientStep, x
+):
+    """The baselines' update: a subgradient step, then the projection.
+
+    Yields (x, x, None, None) once per iteration.
+    """
+    while True:
+        g = np.asarray(get_subgrad(x), dtype=float)
+        x = np.asarray(feasible_set.project(x - step.beta * g), dtype=float)
+        yield x, x, None, None
+
+
+def _solve(
+    rule, objective_value, get_subgrad, feasible_set: FeasibleSet, params, x1,
+    record_iterates: bool,
+) -> RunTrace:
+    """Run one update rule and return the average of the start and every
+    iterate it produced.
+
+    The drift rule (PfwParams) runs k = 1..T-1 and averages T points; the
+    projected rule (GradientStep) runs k = 1..T and averages T+1 points.
+    """
+    drift = isinstance(params, PfwParams)
+    if not drift and feasible_set.project is None:
+        raise UnsupportedSetError("set does not provide a projection")
+    x = _as_flat(x1).copy()
+    _check_start(feasible_set, x)
+    n_steps = params.horizon - 1 if drift else params.horizon
+    sum_x = x.copy()
     log = None
     if record_iterates:
-        log = IterateLog(
-            xs=np.array(xs), ys=np.array(ys), qs=np.array(qs), gs=np.array(gs)
-        )
+        xs = np.empty((n_steps, x.size))
+        if drift:
+            log = IterateLog(xs=xs, ys=np.empty_like(xs), qs=np.empty_like(xs),
+                             gs=np.empty_like(xs))
+        else:
+            log = IterateLog(xs=xs, ys=xs)
+    steps = rule(get_subgrad, feasible_set, params, x)
+    for k in range(1, n_steps + 1):
+        try:
+            x, y, Q, g = next(steps)
+        except Exception as exc:
+            raise SolverError(f"oracle failure: {exc}", k) from exc
+        _guard(x, k)
+        if y is not x:
+            _guard(y, k)
+        sum_x += x
+        if log is not None:
+            log.xs[k - 1] = x
+            if drift:
+                log.ys[k - 1] = y
+                log.qs[k - 1] = Q
+                log.gs[k - 1] = g
+    xbar = sum_x / (n_steps + 1)
     return RunTrace(
         xbar=xbar,
         f_xbar=float(objective_value(xbar)),
-        per_iter=per_iter,
         params=params,
         iterates=log,
     )
@@ -146,9 +175,9 @@ def pfw_run(
     Executes the loop for k = 1..T-1 (empty at T=1, when xbar = x1) and
     returns the average of x_1..x_T.  Never calls feasible_set.project.
     """
-    return _drift_loop(
-        objective.value, objective.subgrad, feasible_set, params, x1,
-        record_iterates,
+    return _solve(
+        _drift_steps, objective.value, objective.subgrad, feasible_set, params,
+        x1, record_iterates,
     )
 
 
@@ -165,51 +194,9 @@ def pfw_run_stochastic(
     def get_subgrad(y):
         return oracle.noisy_subgrad(y, rng)
 
-    return _drift_loop(
-        oracle.base.value, get_subgrad, feasible_set, params, x1,
+    return _solve(
+        _drift_steps, oracle.base.value, get_subgrad, feasible_set, params, x1,
         record_iterates,
-    )
-
-
-def _projected_loop(
-    objective_value, get_subgrad, feasible_set, step: GradientStep, x0,
-    record_iterates: bool,
-) -> RunTrace:
-    if feasible_set.project is None:
-        raise UnsupportedSetError("set does not provide a projection")
-    x = _as_flat(x0).copy()
-    _check_start(feasible_set, x)
-    sum_x = x.copy()
-    per_iter: List[Tuple[int, float, float, float]] = []
-    xs = []
-    t0 = time.perf_counter()
-    for k in range(step.horizon):
-        try:
-            g = np.asarray(get_subgrad(x), dtype=float)
-            x = np.asarray(feasible_set.project(x - step.beta * g), dtype=float)
-        except UnsupportedSetError:
-            raise
-        except Exception as exc:
-            raise SolverError(f"oracle failure: {exc}", k + 1) from exc
-        _guard(x, k + 1)
-        sum_x += x
-        per_iter.append(
-            (k, float(objective_value(x)), 0.0, time.perf_counter() - t0)
-        )
-        if record_iterates:
-            xs.append(x.copy())
-    # averages x_0..x_T over T+1 points, unlike the projection-free solver
-    xbar = sum_x / (step.horizon + 1)
-    log = None
-    if record_iterates:
-        arr = np.array(xs)
-        log = IterateLog(xs=arr, ys=arr)
-    return RunTrace(
-        xbar=xbar,
-        f_xbar=float(objective_value(xbar)),
-        per_iter=per_iter,
-        params=step,
-        iterates=log,
     )
 
 
@@ -222,10 +209,9 @@ def pgd_run(
     record_iterates: bool = False,
 ) -> RunTrace:
     """Projected subgradient descent baseline."""
-    step = GradientStep(beta=beta, horizon=T)
-    return _projected_loop(
-        objective.value, objective.subgrad, feasible_set, step, x0,
-        record_iterates,
+    return _solve(
+        _projected_steps, objective.value, objective.subgrad, feasible_set,
+        GradientStep(beta=beta, horizon=T), x0, record_iterates,
     )
 
 
@@ -243,7 +229,7 @@ def sgd_run(
     def get_subgrad(x):
         return oracle.noisy_subgrad(x, rng)
 
-    step = GradientStep(beta=beta, horizon=T)
-    return _projected_loop(
-        oracle.base.value, get_subgrad, feasible_set, step, x0, record_iterates
+    return _solve(
+        _projected_steps, oracle.base.value, get_subgrad, feasible_set,
+        GradientStep(beta=beta, horizon=T), x0, record_iterates,
     )

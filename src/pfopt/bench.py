@@ -16,7 +16,6 @@ import numpy as np
 
 from .algorithms import pfw_run, pfw_run_stochastic, pgd_run, sgd_run
 from .core import (
-    NumericError,
     Objective,
     SolverError,
     params_deterministic,
@@ -471,12 +470,13 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_plot(args)
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (SolverError, np.linalg.LinAlgError) as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, NumericError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

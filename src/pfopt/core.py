@@ -12,10 +12,6 @@ class DimensionError(ValueError):
     """Operand shapes are incompatible."""
 
 
-class NumericError(RuntimeError):
-    """A numerical routine failed to converge."""
-
-
 class UnsupportedSetError(RuntimeError):
     """The requested operation needs a capability the set does not provide."""
 

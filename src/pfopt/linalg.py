@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericError
 
 _MAX_FULL_SVD_DIM = 512
 # Size crossover of top_singular_triplet, measured on the drift matrices -Q_k
@@ -63,8 +62,8 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
     When ``min(m, n) <= _DENSE_MAX_DIM`` it is the first triplet of one thin
     dense SVD.  Above that, power iteration on the Gram operator from the
     all-ones vector, and the same dense SVD if the iteration does not
-    converge.  Deterministic.  Raises ValueError on non-finite input; it does
-    not raise NumericError (a LAPACK failure surfaces as LinAlgError).
+    converge.  Deterministic.  Raises ValueError on non-finite input; a
+    LAPACK failure surfaces as LinAlgError.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
@@ -123,10 +122,7 @@ def full_svd(A: np.ndarray) -> FullSvd:
         raise ValueError(
             f"full_svd is limited to dimensions <= {_MAX_FULL_SVD_DIM}"
         )
-    try:
-        U, S, Vt = np.linalg.svd(A, full_matrices=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericError(f"SVD did not converge: {exc}") from exc
+    U, S, Vt = np.linalg.svd(A, full_matrices=True)
     return FullSvd(U=U, S=S, V=Vt.T)
 
 

@@ -250,10 +250,13 @@ def test_criterion_11_degenerate_noise_equivalence():
     fs, obj, _ = hypercube_problem(n)
     params = params_deterministic(obj.lipschitz, fs.radius, T)
     oracle = gaussian_oracle(obj, GaussianNoiseSpec(sigma=0.0, seed=4), n)
-    det = pfw_run(obj, fs, params, fs.center)
-    sto = pfw_run_stochastic(oracle, fs, params, fs.center)
+    det = pfw_run(obj, fs, params, fs.center, record_iterates=True)
+    sto = pfw_run_stochastic(oracle, fs, params, fs.center, record_iterates=True)
     ok = np.array_equal(det.xbar, sto.xbar)
-    ok = ok and [r[:3] for r in det.per_iter] == [r[:3] for r in sto.per_iter]
+    for name in ("xs", "ys", "qs", "gs"):
+        ok = ok and np.array_equal(
+            getattr(det.iterates, name), getattr(sto.iterates, name)
+        )
     beta = fs.radius / (obj.lipschitz * np.sqrt(T))
     pg = pgd_run(obj, fs, beta, T, fs.center)
     sg = sgd_run(oracle, fs, beta, T, fs.center)

@@ -32,6 +32,21 @@ def hypercube_problem(n):
     return fs, obj, f_star
 
 
+class HugeLmoHypercube(Hypercube):
+    def lmo(self, direction):
+        return np.full(self.n, 1e13)
+
+
+class NanLmoHypercube(Hypercube):
+    def lmo(self, direction):
+        return np.full(self.n, np.nan)
+
+
+class HugeProjectionHypercube(Hypercube):
+    def project(self, z):
+        return np.full(self.n, 1e13)
+
+
 class CountingHypercube(Hypercube):
     def __init__(self, n):
         super().__init__(n)
@@ -46,9 +61,20 @@ class TestPfwRun:
     def test_horizon_one_returns_start(self):
         fs, obj, _ = hypercube_problem(4)
         x1 = np.array([0.5, -0.5, 0.0, 1.0])
-        trace = pfw_run(obj, fs, params_deterministic(obj.lipschitz, fs.radius, 1), x1)
+        params = params_deterministic(obj.lipschitz, fs.radius, 1)
+        trace = pfw_run(obj, fs, params, x1)
         assert np.array_equal(trace.xbar, x1)
-        assert trace.per_iter == []
+        assert trace.iterates is None
+        # a recorded run with no iterations has empty (0, d) histories
+        oracle = gaussian_oracle(obj, GaussianNoiseSpec(sigma=1.0, seed=0), 4)
+        for trace in (
+            pfw_run(obj, fs, params, x1, record_iterates=True),
+            pfw_run_stochastic(oracle, fs, params, x1, record_iterates=True),
+        ):
+            assert np.array_equal(trace.xbar, x1)
+            log = trace.iterates
+            for rows in (log.xs, log.ys, log.qs, log.gs):
+                assert rows.shape == (0, 4)
 
     def test_deterministic_bound_paper_constants(self):
         # n = 10 box, anchor outside at 2*ones, T = 10000: 3RG/sqrt(T) = 0.6
@@ -169,6 +195,20 @@ class TestPfwRun:
                     run()
                 assert err.value.iteration == 1
 
+        # the guards also scan what the set returns: a huge or NaN LMO output
+        # and a huge projection are caught in the first step
+        obj = l1_distance(np.zeros(3))
+        params = params_deterministic(1.0, fs.radius, 10)
+        runs = (
+            lambda: pfw_run(obj, HugeLmoHypercube(3), params, fs.center),
+            lambda: pfw_run(obj, NanLmoHypercube(3), params, fs.center),
+            lambda: pgd_run(obj, HugeProjectionHypercube(3), 0.1, 10, fs.center),
+        )
+        for run in runs:
+            with pytest.raises(SolverError) as err:
+                run()
+            assert err.value.iteration == 1
+
     def test_nan_oracle_fails(self):
         fs = Hypercube(3)
         bad = Objective(
@@ -229,10 +269,11 @@ class TestStochasticRuns:
         fs, obj, _ = hypercube_problem(n)
         params = params_deterministic(obj.lipschitz, fs.radius, T)
         oracle = gaussian_oracle(obj, GaussianNoiseSpec(sigma=0.0, seed=3), n)
-        det = pfw_run(obj, fs, params, fs.center)
-        sto = pfw_run_stochastic(oracle, fs, params, fs.center)
+        det = pfw_run(obj, fs, params, fs.center, record_iterates=True)
+        sto = pfw_run_stochastic(oracle, fs, params, fs.center, record_iterates=True)
         assert np.array_equal(det.xbar, sto.xbar)
-        assert [r[:3] for r in det.per_iter] == [r[:3] for r in sto.per_iter]
+        for name in ("xs", "ys", "qs", "gs"):
+            assert np.array_equal(getattr(det.iterates, name), getattr(sto.iterates, name))
 
     def test_zero_noise_sgd_matches_pgd(self):
         n, T = 6, 400

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import pfopt.bench
+from pfopt import SolverError
 from pfopt.bench import (
     CSV_HEADER,
     ConfigError,
@@ -262,6 +264,20 @@ class TestCli:
         svg = tmp_path / "re.svg"
         assert main(["plot", str(csv), str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "exc",
+        [SolverError("iterate became non-finite", 1),
+         np.linalg.LinAlgError("SVD did not converge")],
+    )
+    def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(pfopt.bench, "pfw_run", fail)
+        cfg = self.write_config(tmp_path)
+        assert main(["run", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith("solver error:")
 
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
