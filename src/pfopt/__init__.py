@@ -21,24 +21,21 @@ from .core import (
     params_deterministic,
     params_stochastic,
 )
-from .linalg import FullSvd, SvdTriplet, full_svd, nuclear_norm, top_singular_triplet
+from .linalg import SvdTriplet, full_svd, nuclear_norm, top_singular_triplet
 from .objectives import (
     GaussianNoiseSpec,
     PenaltySpec,
     gaussian_oracle,
     hypercube_l1_optimum,
     l1_distance,
-    l1_value_subgrad,
     lipschitz_extend,
     penalized_objective,
-    penalized_value_subgrad,
 )
 from .sets import Hypercube, NuclearBall, VertexPolytope
 
 __all__ = [
     "DimensionError",
     "FeasibleSet",
-    "FullSvd",
     "GaussianNoiseSpec",
     "GradientStep",
     "Hypercube",
@@ -57,13 +54,11 @@ __all__ = [
     "gaussian_oracle",
     "hypercube_l1_optimum",
     "l1_distance",
-    "l1_value_subgrad",
     "lipschitz_extend",
     "nuclear_norm",
     "params_deterministic",
     "params_stochastic",
     "penalized_objective",
-    "penalized_value_subgrad",
     "pfw_run",
     "pfw_run_stochastic",
     "pgd_run",

@@ -79,9 +79,14 @@ def _guard(arr: np.ndarray, k: int):
 
 
 def _check_start(feasible_set: FeasibleSet, x: np.ndarray):
-    # full membership is set-specific; the enclosing ball is always checkable
-    if np.linalg.norm(x - feasible_set.center) > feasible_set.radius + 1e-9:
-        raise ValueError("start point lies outside the set's enclosing ball")
+    # x1 is averaged into xbar, so it must lie in the set; a set without a
+    # membership test is checked against its enclosing ball
+    try:
+        inside = feasible_set.contains(x)
+    except NotImplementedError:
+        inside = np.linalg.norm(x - feasible_set.center) <= feasible_set.radius + 1e-9
+    if not inside:
+        raise ValueError("start point lies outside the feasible set")
 
 
 def _drift_steps(get_subgrad, feasible_set: FeasibleSet, params: PfwParams, x):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -42,6 +43,18 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -57,6 +70,19 @@ class ExperimentConfig:
     gamma: float = 10.0
 
     def validate(self):
+        # configs arrive as JSON, so check types before comparing values
+        for name, ok in (("n", _is_int), ("m", _is_int), ("tau", _is_real),
+                         ("gamma", _is_real), ("output_dir", _is_str)):
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{name} has the wrong type: {value!r}")
+        for name, ok in (("sigma_list", _is_real), ("T_list", _is_int),
+                         ("seeds", _is_int), ("algorithms", _is_str)):
+            values = getattr(self, name)
+            if not isinstance(values, list):
+                raise ConfigError(f"{name} must be a list, got {values!r}")
+            if not all(ok(v) for v in values):
+                raise ConfigError(f"{name} has an entry of the wrong type: {values!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.n < 1:
@@ -97,6 +123,8 @@ class ExperimentConfig:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -275,9 +303,12 @@ def parse_csv(path) -> List[CurvePoint]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized CSV header")
+    width = CSV_HEADER.count(",") + 1
     points = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         f = line.split(",")
+        if len(f) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(f)}")
         points.append(
             CurvePoint(
                 experiment=f[0],

@@ -32,19 +32,18 @@ def _as_flat(x) -> np.ndarray:
 class FeasibleSet:
     """A convex set with an LMO, contained in a ball of radius R at `center`.
 
-    Subclasses must implement :meth:`lmo` and :meth:`contains`; sets with a
-    cheap Euclidean projection also implement :meth:`project` (left as None
-    here so callers can test for the capability).
+    Subclasses must implement :meth:`lmo` and should implement
+    :meth:`contains`, which the solvers use to reject a start point outside
+    the set; a set without it (``VertexPolytope``) has its start checked
+    against the enclosing ball only.  Sets with a cheap Euclidean projection
+    also implement :meth:`project` (left as None here so callers can test for
+    the capability).
     """
 
     center: np.ndarray
     radius: float
 
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
 
     def lmo(self, direction) -> np.ndarray:
         """Return a minimizer of <direction, x> over the set."""

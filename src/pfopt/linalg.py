@@ -1,4 +1,4 @@
-"""Desk-scale dense SVD helpers: top singular triplet and full decomposition.
+"""Dense SVD helpers: top singular triplet, thin decomposition, nuclear norm.
 
 ``top_singular_triplet`` picks its method from the matrix size: one thin
 LAPACK SVD when ``min(m, n) <= _DENSE_MAX_DIM``, power iteration on the Gram
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-_MAX_FULL_SVD_DIM = 512
 # Size crossover of top_singular_triplet, measured on the drift matrices -Q_k
 # that pfw produces on nuclear_l1 instances (k x k, outside anchor, tau = 5,
 # T = 40, six anchors; numpy with one BLAS thread on a 2-core Xeon).  Mean
@@ -36,28 +35,10 @@ class SvdTriplet:
     u1: np.ndarray
     s1: float
     v1: np.ndarray
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class FullSvd:
-    """Full decomposition A = U @ diag(S) @ V.T with S sorted descending."""
-
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
-
-
-def _fix_sign(u: np.ndarray, v: np.ndarray):
-    """Make the first nonzero coordinate of u positive (sign flows to v)."""
-    nz = np.nonzero(np.abs(u) > 1e-12)[0]
-    if nz.size and u[nz[0]] < 0:
-        return -u, -v
-    return u, v
 
 
 def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
-    """Leading singular triplet; u1's first nonzero coordinate is positive.
+    """Leading singular triplet, up to a joint sign flip of u1 and v1.
 
     When ``min(m, n) <= _DENSE_MAX_DIM`` it is the first triplet of one thin
     dense SVD.  Above that, power iteration on the Gram operator from the
@@ -68,15 +49,8 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    m, n = A.shape
-    if not A.any():
-        u = np.zeros(m)
-        v = np.zeros(n)
-        u[0] = 1.0
-        v[0] = 1.0
-        return SvdTriplet(u1=u, s1=0.0, v1=v, degenerate=True)
     v = None
-    if min(m, n) > _DENSE_MAX_DIM:
+    if min(A.shape) > _DENSE_MAX_DIM:
         v, s = _power_iteration(A)
     if v is None:
         U, S, Vt = np.linalg.svd(A, full_matrices=False)
@@ -84,7 +58,6 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
     else:
         u = A @ v
         u = u / np.linalg.norm(u)
-    u, v = _fix_sign(u, v)
     return SvdTriplet(u1=u, s1=s, v1=v)
 
 
@@ -114,16 +87,9 @@ def _power_iteration(A: np.ndarray):
     return None, None
 
 
-def full_svd(A: np.ndarray) -> FullSvd:
-    """Full SVD (LAPACK-backed); guarded to desk-scale matrices."""
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    if max(m, n) > _MAX_FULL_SVD_DIM:
-        raise ValueError(
-            f"full_svd is limited to dimensions <= {_MAX_FULL_SVD_DIM}"
-        )
-    U, S, Vt = np.linalg.svd(A, full_matrices=True)
-    return FullSvd(U=U, S=S, V=Vt.T)
+def full_svd(A: np.ndarray):
+    """Thin SVD (U, S, Vt) with A = (U * S) @ Vt and S sorted descending."""
+    return np.linalg.svd(np.asarray(A, dtype=float), full_matrices=False)
 
 
 def nuclear_norm(A: np.ndarray) -> float:

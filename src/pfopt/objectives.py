@@ -19,22 +19,19 @@ def l1_distance(omega) -> Objective:
     """
     anchor = _as_flat(omega).copy()
 
+    def _diff(x) -> np.ndarray:
+        x = _as_flat(x)
+        if x.size != anchor.size:
+            raise DimensionError(f"dimension mismatch: {x.size} vs {anchor.size}")
+        return x - anchor
+
     def value(x):
-        return l1_value_subgrad(anchor, x)[0]
+        return float(np.abs(_diff(x)).sum())
 
     def subgrad(x):
-        return l1_value_subgrad(anchor, x)[1]
+        return np.sign(_diff(x))
 
     return Objective(value=value, subgrad=subgrad, lipschitz=float(np.sqrt(anchor.size)))
-
-
-def l1_value_subgrad(omega, x) -> Tuple[float, np.ndarray]:
-    omega = _as_flat(omega)
-    x = _as_flat(x)
-    if x.size != omega.size:
-        raise DimensionError(f"dimension mismatch: {x.size} vs {omega.size}")
-    diff = x - omega
-    return float(np.abs(diff).sum()), np.sign(diff)
 
 
 def hypercube_l1_optimum(omega) -> Tuple[np.ndarray, float]:
@@ -105,33 +102,36 @@ class PenaltySpec:
         )
 
 
-def penalized_value_subgrad(base: Objective, spec: PenaltySpec, x) -> Tuple[float, np.ndarray]:
-    """base(x) + gamma * max(0, max_j <a_j, x> - b_j) with its subgradient.
+def penalized_objective(base: Objective, spec: PenaltySpec) -> Objective:
+    """base(x) + gamma * max(0, max_j <a_j, x> - b_j) as an Objective with the
+    worst-case Lipschitz bound G_base + gamma * max_j ||a_j||.
 
     On a positive max the subgradient adds gamma * a_{j*}, j* the smallest
     achieving index; ties at zero keep the bare base subgradient.
     """
-    x = _as_flat(x)
-    base_val = base.value(x)
-    g = np.array(base.subgrad(x), dtype=float, copy=True)
-    slacks = [float(np.dot(a, x)) - b for a, b in spec.constraints]
-    worst = max(slacks) if slacks else 0.0
-    if worst > 0.0:
-        j_star = slacks.index(worst)
-        g += spec.gamma * spec.constraints[j_star][0]
-        return base_val + spec.gamma * worst, g
-    return base_val, g
 
-
-def penalized_objective(base: Objective, spec: PenaltySpec) -> Objective:
-    """Package the penalized function as an Objective with the worst-case
-    Lipschitz bound G_base + gamma * max_j ||a_j||."""
+    def _worst(x):
+        # the largest slack <a_j, x> - b_j and its smallest achieving index
+        slacks = [float(np.dot(a, x)) - b for a, b in spec.constraints]
+        if not slacks:
+            return 0.0, None
+        worst = max(slacks)
+        return worst, slacks.index(worst)
 
     def value(x):
-        return penalized_value_subgrad(base, spec, x)[0]
+        x = _as_flat(x)
+        worst, _ = _worst(x)
+        if worst > 0.0:
+            return base.value(x) + spec.gamma * worst
+        return base.value(x)
 
     def subgrad(x):
-        return penalized_value_subgrad(base, spec, x)[1]
+        x = _as_flat(x)
+        g = np.array(base.subgrad(x), dtype=float, copy=True)
+        worst, j_star = _worst(x)
+        if worst > 0.0:
+            g += spec.gamma * spec.constraints[j_star][0]
+        return g
 
     norms = [np.linalg.norm(a) for a, _ in spec.constraints]
     G = base.lipschitz + spec.gamma * (max(norms) if norms else 0.0)

@@ -75,15 +75,12 @@ class NuclearBall(FeasibleSet):
     def project(self, z) -> np.ndarray:
         """Singular-value soft thresholding with an exact water-filling level."""
         A = self._as_matrix(z)
-        dec = full_svd(A)
-        s = dec.S
+        U, s, Vt = full_svd(A)
         if s.sum() <= self.tau:
             return A.ravel().copy()
         lam = _waterfill_level(s, self.tau)
         kept = np.maximum(0.0, s - lam)
-        k = s.size
-        out = (dec.U[:, :k] * kept) @ dec.V[:, :k].T
-        return out.ravel()
+        return ((U * kept) @ Vt).ravel()
 
     def contains(self, x, tol: float = 1e-7) -> bool:
         return nuclear_norm(self._as_matrix(x)) <= self.tau + tol

@@ -159,6 +159,22 @@ class TestPfwRun:
         with pytest.raises(ValueError):
             pfw_run(obj, fs, params_deterministic(1.0, fs.radius, 10), np.full(3, 100.0))
 
+    @pytest.mark.parametrize("solver", ["pfw", "pfw_stochastic", "pgd", "sgd"])
+    def test_start_in_ball_outside_set_rejected(self, solver):
+        # inside the enclosing ball of radius 4, outside the box
+        fs, obj, _ = hypercube_problem(4)
+        x1 = [1.9, 0.0, 0.0, 0.0]
+        oracle = gaussian_oracle(obj, GaussianNoiseSpec(sigma=0.5, seed=0), 4)
+        params = params_deterministic(obj.lipschitz, fs.radius, 1)
+        runs = {
+            "pfw": lambda: pfw_run(obj, fs, params, x1),
+            "pfw_stochastic": lambda: pfw_run_stochastic(oracle, fs, params, x1),
+            "pgd": lambda: pgd_run(obj, fs, 0.1, 1, x1),
+            "sgd": lambda: sgd_run(oracle, fs, 0.1, 1, x1),
+        }
+        with pytest.raises(ValueError):
+            runs[solver]()
+
     def test_broken_oracle_reports_iteration(self):
         fs = Hypercube(3)
         bad = Objective(

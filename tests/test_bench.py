@@ -220,6 +220,12 @@ class TestPlot:
             render_plot([], tmp_path / "x.svg")
 
 
+CLI_CONFIG = dict(
+    experiment="hypercube_l1", n=6, sigma_list=[0.0], T_list=[50], seeds=[1],
+    algorithms=["pfw"],
+)
+
+
 class TestCli:
     def write_config(self, tmp_path, **overrides):
         cfg = dict(
@@ -278,6 +284,30 @@ class TestCli:
         cfg = self.write_config(tmp_path)
         assert main(["run", str(cfg)]) == 3
         assert capsys.readouterr().err.startswith("solver error:")
+
+    @pytest.mark.parametrize(
+        "command, text, names",
+        [
+            ("run", json.dumps(dict(CLI_CONFIG, n="10")), "n has"),
+            ("run", json.dumps(dict(CLI_CONFIG, T_list=[10.5])), "T_list"),
+            ("run", json.dumps(dict(CLI_CONFIG, sigma_list=0.5)), "sigma_list"),
+            ("run", json.dumps(dict(CLI_CONFIG, algorithms="pfw")), "algorithms"),
+            ("run", json.dumps(dict(CLI_CONFIG, output_dir=5)), "output_dir"),
+            ("run", "[1, 2]", "JSON object"),
+            ("plot", CSV_HEADER + "\nhypercube_l1,pfw,10\n", "line 2"),
+        ],
+        ids=["n_str", "T_float", "sigma_scalar", "algorithms_str",
+             "output_dir_int", "top_level_list", "short_csv_row"],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, command, text, names):
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = [command, str(path)]
+        if command == "plot":
+            argv.append(str(tmp_path / "out.svg"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and names in err
 
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2

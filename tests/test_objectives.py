@@ -9,24 +9,22 @@ from pfopt import (
     gaussian_oracle,
     hypercube_l1_optimum,
     l1_distance,
-    l1_value_subgrad,
     lipschitz_extend,
     penalized_objective,
-    penalized_value_subgrad,
 )
 
 
 class TestL1Distance:
     def test_direct(self):
-        val, g = l1_value_subgrad(np.zeros(2), [1.0, -2.0])
-        assert val == 3.0
-        assert np.array_equal(g, [1.0, -1.0])
+        obj = l1_distance(np.zeros(2))
+        assert obj.value([1.0, -2.0]) == 3.0
+        assert np.array_equal(obj.subgrad([1.0, -2.0]), [1.0, -1.0])
 
     def test_at_anchor(self):
         omega = np.array([0.3, -0.7])
-        val, g = l1_value_subgrad(omega, omega)
-        assert val == 0.0
-        assert np.array_equal(g, [0.0, 0.0])
+        obj = l1_distance(omega)
+        assert obj.value(omega) == 0.0
+        assert np.array_equal(obj.subgrad(omega), [0.0, 0.0])
 
     def test_subgradient_inequality(self):
         rng = np.random.default_rng(1)
@@ -52,8 +50,11 @@ class TestL1Distance:
         assert np.linalg.norm(g) == pytest.approx(obj.lipschitz)
 
     def test_shape_mismatch(self):
+        obj = l1_distance(np.zeros(3))
         with pytest.raises(DimensionError):
-            l1_value_subgrad(np.zeros(3), np.zeros(4))
+            obj.value(np.zeros(4))
+        with pytest.raises(DimensionError):
+            obj.subgrad(np.zeros(4))
 
 
 class TestHypercubeOptimum:
@@ -167,17 +168,18 @@ class TestPenalty:
     def test_inactive_constraints(self):
         base = l1_distance(np.zeros(2))
         spec = PenaltySpec(constraints=[(np.array([1.0, 0.0]), 10.0)], gamma=3.0)
+        obj = penalized_objective(base, spec)
         x = np.array([0.5, -0.5])
-        val, g = penalized_value_subgrad(base, spec, x)
-        assert val == base.value(x)
-        assert np.array_equal(g, base.subgrad(x))
+        assert obj.value(x) == base.value(x)
+        assert np.array_equal(obj.subgrad(x), base.subgrad(x))
 
     def test_active_single_constraint(self):
         base = _zero_objective(2)
         spec = PenaltySpec(constraints=[(np.array([1.0, 0.0]), 0.0)], gamma=2.0)
-        val, g = penalized_value_subgrad(base, spec, np.array([3.0, 0.0]))
-        assert val == 6.0
-        assert np.array_equal(g, [2.0, 0.0])
+        obj = penalized_objective(base, spec)
+        x = np.array([3.0, 0.0])
+        assert obj.value(x) == 6.0
+        assert np.array_equal(obj.subgrad(x), [2.0, 0.0])
 
     def test_tie_break_smallest_index(self):
         base = _zero_objective(2)
@@ -185,7 +187,7 @@ class TestPenalty:
             constraints=[(np.array([1.0, 0.0]), 0.0), (np.array([1.0, 0.0]), 0.0)],
             gamma=1.0,
         )
-        _, g = penalized_value_subgrad(base, spec, np.array([1.0, 5.0]))
+        g = penalized_objective(base, spec).subgrad(np.array([1.0, 5.0]))
         assert np.array_equal(g, [1.0, 0.0])
 
     def test_subgradient_inequality(self):
@@ -218,3 +220,25 @@ class TestPenalty:
         assert obj.value(x) == base.value(x)
         assert np.array_equal(obj.subgrad(x), base.subgrad(x))
         assert obj.lipschitz == base.lipschitz
+
+    @pytest.mark.parametrize("x", [[0.5, -0.5], [3.0, 0.0]])
+    def test_each_half_calls_only_its_base_half(self, x):
+        # one inactive and one active constraint point
+        calls = {"value": 0, "subgrad": 0}
+        inner = l1_distance(np.zeros(2))
+
+        def value(y):
+            calls["value"] += 1
+            return inner.value(y)
+
+        def subgrad(y):
+            calls["subgrad"] += 1
+            return inner.subgrad(y)
+
+        base = Objective(value=value, subgrad=subgrad, lipschitz=inner.lipschitz)
+        spec = PenaltySpec(constraints=[(np.array([1.0, 0.0]), 1.0)], gamma=2.0)
+        obj = penalized_objective(base, spec)
+        obj.subgrad(np.array(x))
+        assert calls == {"value": 0, "subgrad": 1}
+        obj.value(np.array(x))
+        assert calls == {"value": 1, "subgrad": 1}

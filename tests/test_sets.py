@@ -8,7 +8,6 @@ from pfopt import (
     Hypercube,
     NuclearBall,
     VertexPolytope,
-    full_svd,
     l1_distance,
     nuclear_norm,
     params_deterministic,
@@ -52,7 +51,6 @@ class TestHypercubeLmo:
         n = 10
         box = Hypercube(n)
         assert box.radius == pytest.approx(2 * np.sqrt(n))
-        assert box.diameter == pytest.approx(4 * np.sqrt(n))
         d = np.random.default_rng(4).standard_normal(n)
         assert np.linalg.norm(box.lmo(d)) <= np.sqrt(n) <= box.radius
 
@@ -118,7 +116,8 @@ class TestNuclearLmo:
         for _ in range(30):
             A = rng.standard_normal((5, 4))
             out = ball.lmo(A.ravel()).reshape(5, 4)
-            assert np.sum(A * out) == pytest.approx(-tau * full_svd(A).S[0], abs=1e-8)
+            sigma1 = np.linalg.svd(A, compute_uv=False)[0]
+            assert np.sum(A * out) == pytest.approx(-tau * sigma1, abs=1e-8)
 
     @pytest.mark.parametrize("k, T", [(20, 300), (_DENSE_MAX_DIM + 1, 40)])
     def test_value_accurate_on_solver_drift(self, k, T):
@@ -173,28 +172,32 @@ class TestNuclearProjection:
 
     def test_random_domination(self):
         tau = 2.0
-        ball = NuclearBall(6, 5, tau)
         rng = np.random.default_rng(18)
-        feas = [random_feasible_nuclear(rng, 6, 5, tau) for _ in range(1000)]
-        for _ in range(10):
-            A = rng.standard_normal((6, 5))
-            if nuclear_norm(A) <= tau:
-                A *= 3 * tau / nuclear_norm(A)
-            P = ball.project(A.ravel()).reshape(6, 5)
-            assert nuclear_norm(P) == pytest.approx(tau, abs=1e-8)
-            dist = np.linalg.norm(A - P)
-            for Z in feas:
-                assert dist <= np.linalg.norm(A - Z) + 1e-9
+        # tall, then wide
+        for m, n in [(6, 5), (5, 6)]:
+            ball = NuclearBall(m, n, tau)
+            feas = [random_feasible_nuclear(rng, m, n, tau) for _ in range(1000)]
+            for _ in range(10):
+                A = rng.standard_normal((m, n))
+                if nuclear_norm(A) <= tau:
+                    A *= 3 * tau / nuclear_norm(A)
+                P = ball.project(A.ravel()).reshape(m, n)
+                assert nuclear_norm(P) == pytest.approx(tau, abs=1e-8)
+                dist = np.linalg.norm(A - P)
+                for Z in feas:
+                    assert dist <= np.linalg.norm(A - Z) + 1e-9
 
     def test_variational_inequality(self):
         tau = 1.5
-        ball = NuclearBall(4, 4, tau)
         rng = np.random.default_rng(20)
-        A = rng.standard_normal((4, 4)) * 2
-        P = ball.project(A.ravel()).reshape(4, 4)
-        for _ in range(200):
-            X = random_feasible_nuclear(rng, 4, 4, tau)
-            assert np.sum((A - P) * (X - P)) <= 1e-8
+        # square, then wide
+        for m, n in [(4, 4), (5, 6)]:
+            ball = NuclearBall(m, n, tau)
+            A = rng.standard_normal((m, n)) * 2
+            P = ball.project(A.ravel()).reshape(m, n)
+            for _ in range(200):
+                X = random_feasible_nuclear(rng, m, n, tau)
+                assert np.sum((A - P) * (X - P)) <= 1e-8
 
 
 class TestVertexPolytope:
