@@ -72,9 +72,10 @@ class RunTrace:
 
 
 def _guard(arr: np.ndarray, k: int):
-    if not np.all(np.isfinite(arr)):
-        raise SolverError("iterate became non-finite", k)
-    if np.max(np.abs(arr)) > _MAGNITUDE_GUARD:
+    # one scan: the max propagates NaN, and NaN <= bound is False
+    if not np.max(np.abs(arr)) <= _MAGNITUDE_GUARD:
+        if not np.all(np.isfinite(arr)):
+            raise SolverError("iterate became non-finite", k)
         raise SolverError("iterate magnitude exceeded guard; oracle bug likely", k)
 
 

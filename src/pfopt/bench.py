@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import numbers
 import sys
 import time
@@ -48,7 +49,8 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    # finite too: json.loads reads NaN and Infinity, which no setting takes
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < math.inf
 
 
 def _is_str(v) -> bool:
@@ -75,14 +77,14 @@ class ExperimentConfig:
                          ("gamma", _is_real), ("output_dir", _is_str)):
             value = getattr(self, name)
             if not ok(value):
-                raise ConfigError(f"{name} has the wrong type: {value!r}")
+                raise ConfigError(f"{name} has an invalid value: {value!r}")
         for name, ok in (("sigma_list", _is_real), ("T_list", _is_int),
                          ("seeds", _is_int), ("algorithms", _is_str)):
             values = getattr(self, name)
             if not isinstance(values, list):
                 raise ConfigError(f"{name} must be a list, got {values!r}")
             if not all(ok(v) for v in values):
-                raise ConfigError(f"{name} has an entry of the wrong type: {values!r}")
+                raise ConfigError(f"{name} has an invalid entry: {values!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.n < 1:

@@ -1,9 +1,7 @@
 """Dense SVD helpers: top singular triplet, thin decomposition, nuclear norm.
 
-``top_singular_triplet`` picks its method from the matrix size: one thin
-LAPACK SVD when ``min(m, n) <= _DENSE_MAX_DIM``, power iteration on the Gram
-operator above it, with the same dense SVD answering whenever the power
-iteration does not converge.
+``top_singular_triplet`` solves for the top eigenvector of the smaller Gram
+matrix: by ``eigh`` up to ``_DENSE_MAX_DIM`` columns, by Lanczos above it.
 """
 
 from __future__ import annotations
@@ -13,19 +11,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Size crossover of top_singular_triplet, measured on the drift matrices -Q_k
-# that pfw produces on nuclear_l1 instances (k x k, outside anchor, tau = 5,
-# T = 40, six anchors; numpy with one BLAS thread on a 2-core Xeon).  Mean
-# power-iteration time over one thin SVD: 1.9 at k = 160, 1.3 at 200, 0.63 at
-# 240, 0.17 at 300.  Below that the drift matrices are ill-gapped (median
-# sigma2/sigma1 0.98), power iteration takes a median of 200-400 steps
-# against a dense SVD worth 9 steps at k = 20 and 120 at k = 100, and its
-# stall exit missed tau*sigma1 by more than 1e-8 at k = 160-225.  The
-# crossover rises with T: at T = 100, power iteration still takes 2.7x the
-# SVD's time at k = 256.
-_DENSE_MAX_DIM = 256
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 5000
+# Size crossover, measured on the drift matrices -Q_k that pfw produces on
+# nuclear_l1 (k x k, outside anchor, tau = 5, T = 100, two anchors; one BLAS
+# thread, 2-core Xeon).  Mean ms per call, Gram eigh against Lanczos: 1.7-1.9
+# against 2.3-2.4 at k = 100, 2.6-2.8 against 2.7-2.8 at k = 128, 4.1-4.4
+# against 3.3 at k = 160.  Lanczos pays a Python cost per step, and these
+# ill-gapped matrices take it 30-60 steps at k <= 160; eigh grows as k^3.
+_DENSE_MAX_DIM = 128
+# Lanczos stops once the top Ritz residual ||G v - theta v|| <= tol * theta;
+# the value error is second order in it (<= 2e-15 at 300 x 300, T = 40).
+_LANCZOS_TOL = 1e-8
+# The stop test's eigh of the k x k tridiagonal outgrows one Lanczos step
+# (300 us at k = 48); run every fourth step, k = 160 calls fell 5.6 -> 3.0 ms.
+_LANCZOS_CHECK_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -40,51 +38,53 @@ class SvdTriplet:
 def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
     """Leading singular triplet, up to a joint sign flip of u1 and v1.
 
-    When ``min(m, n) <= _DENSE_MAX_DIM`` it is the first triplet of one thin
-    dense SVD.  Above that, power iteration on the Gram operator from the
-    all-ones vector, and the same dense SVD if the iteration does not
-    converge.  Deterministic.  Raises ValueError on non-finite input; a
-    LAPACK failure surfaces as LinAlgError.
+    With ``B`` the one of ``A`` and ``A.T`` with fewer columns and ``v`` the
+    top eigenvector of ``B.T @ B``: ``s1 = ||B v||`` and ``u = B v / s1``, so
+    ``s1 <= sigma1`` and ``<A, u1 v1^T> = s1`` to rounding.  A zero matrix
+    gives ``s1 = 0`` with unit vectors.  Deterministic.  Raises ValueError on
+    non-finite input; a LAPACK failure surfaces as LinAlgError.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    v = None
-    if min(A.shape) > _DENSE_MAX_DIM:
-        v, s = _power_iteration(A)
+    B = A if A.shape[1] <= A.shape[0] else A.T
+    v = _lanczos_top(B) if B.shape[1] > _DENSE_MAX_DIM else None
     if v is None:
-        U, S, Vt = np.linalg.svd(A, full_matrices=False)
-        u, s, v = U[:, 0], float(S[0]), Vt[0]
-    else:
-        u = A @ v
-        u = u / np.linalg.norm(u)
-    return SvdTriplet(u1=u, s1=s, v1=v)
+        v = np.linalg.eigh(B.T @ B)[1][:, -1]
+    u = B @ v
+    s = float(np.linalg.norm(u))
+    u = u / s if s > 0.0 else np.full(u.size, u.size**-0.5)
+    return SvdTriplet(u1=u, s1=s, v1=v) if B is A else SvdTriplet(u1=v, s1=s, v1=u)
 
 
-def _power_iteration(A: np.ndarray):
-    """Leading right singular vector and value, or (None, None) on no
-    convergence within _POWER_MAX_ITER steps."""
-    v = np.ones(A.shape[1])
-    v = v / np.linalg.norm(v)
-    history = []
-    for _ in range(_POWER_MAX_ITER):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return None, None  # start orthogonal to the row space
-        v_new = w / nw
-        s = float(np.linalg.norm(A @ v_new))
-        # vector alignment is sign-insensitive
-        if min(np.linalg.norm(v_new - v), np.linalg.norm(v_new + v)) <= _POWER_TOL:
-            return v_new, s
-        # the value estimate grows monotonically; stop once 20 steps have
-        # added at most 1e-10 relative.  On near-tied spectra this stops short
-        # of sigma1, which is why small matrices take the dense path.
-        history.append(s)
-        if len(history) > 20 and s - history[-21] <= 1e-10 * max(1.0, s):
-            return v_new, s
-        v = v_new
-    return None, None
+def _lanczos_top(B: np.ndarray):
+    """Top eigenvector of ``B.T @ B`` by fully reorthogonalised Lanczos, or
+    None if the Krylov space turns invariant or nears full dimension first:
+    the start may lack the top direction, so theta_max need not be sigma1^2."""
+    n = B.shape[1]
+    Q = np.empty((n, n))  # row j is the j-th Lanczos vector
+    T = np.zeros((n, n))  # the tridiagonal projection of B.T @ B onto them
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    scale = 0.0  # the largest Rayleigh quotient so far, <= sigma1^2
+    for k in range(n - 1):
+        Q[k] = q
+        w = B.T @ (B @ q)
+        T[k, k] = q @ w
+        scale = max(scale, T[k, k])
+        basis = Q[: k + 1]
+        for _ in range(2):
+            w -= (basis @ w) @ basis
+        beta = float(np.linalg.norm(w))
+        if beta <= _LANCZOS_TOL * scale:
+            return None
+        if k % _LANCZOS_CHECK_EVERY == _LANCZOS_CHECK_EVERY - 1:
+            theta, S = np.linalg.eigh(T[: k + 1, : k + 1])
+            if beta * abs(S[-1, -1]) <= _LANCZOS_TOL * theta[-1]:
+                return S[:, -1] @ basis
+        T[k, k + 1] = T[k + 1, k] = beta
+        q = w / beta
+    return None
 
 
 def full_svd(A: np.ndarray):

@@ -70,7 +70,7 @@ class NuclearBall(FeasibleSet):
         if not A.any():
             return np.zeros(self.m * self.n)
         t = top_singular_triplet(A)
-        return (-self.tau * np.outer(t.u1, t.v1)).ravel()
+        return np.outer(-self.tau * t.u1, t.v1).ravel()
 
     def project(self, z) -> np.ndarray:
         """Singular-value soft thresholding with an exact water-filling level."""

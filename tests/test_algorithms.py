@@ -42,6 +42,11 @@ class NanLmoHypercube(Hypercube):
         return np.full(self.n, np.nan)
 
 
+class NegInfLmoHypercube(Hypercube):
+    def lmo(self, direction):
+        return np.full(self.n, -np.inf)
+
+
 class HugeProjectionHypercube(Hypercube):
     def project(self, z):
         return np.full(self.n, 1e13)
@@ -224,6 +229,21 @@ class TestPfwRun:
             with pytest.raises(SolverError) as err:
                 run()
             assert err.value.iteration == 1
+
+    @pytest.mark.parametrize(
+        "fs, subgrad, message",
+        [(NegInfLmoHypercube(3), np.sign, "non-finite"),
+         (Hypercube(3), lambda x: np.full(3, np.nan), "non-finite"),
+         (HugeLmoHypercube(3), np.sign, "magnitude exceeded")],
+        ids=["-inf in x", "nan in y", "huge x"],
+    )
+    def test_guard_names_the_fault(self, fs, subgrad, message):
+        # a NaN subgradient reaches only y in the first step, since
+        # x = lmo(-Q) with Q = 0
+        obj = Objective(value=lambda x: 0.0, subgrad=subgrad, lipschitz=1.0)
+        with pytest.raises(SolverError, match=message) as err:
+            pfw_run(obj, fs, params_deterministic(1.0, fs.radius, 10), fs.center)
+        assert err.value.iteration == 1
 
     def test_nan_oracle_fails(self):
         fs = Hypercube(3)

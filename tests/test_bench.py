@@ -293,11 +293,16 @@ class TestCli:
             ("run", json.dumps(dict(CLI_CONFIG, sigma_list=0.5)), "sigma_list"),
             ("run", json.dumps(dict(CLI_CONFIG, algorithms="pfw")), "algorithms"),
             ("run", json.dumps(dict(CLI_CONFIG, output_dir=5)), "output_dir"),
+            ("run", json.dumps(dict(CLI_CONFIG, gamma=float("nan"))), "gamma"),
+            ("run", json.dumps(dict(CLI_CONFIG, sigma_list=[float("nan")])),
+             "sigma_list"),
+            ("run", json.dumps(dict(CLI_CONFIG, tau=float("inf"))), "tau"),
             ("run", "[1, 2]", "JSON object"),
             ("plot", CSV_HEADER + "\nhypercube_l1,pfw,10\n", "line 2"),
         ],
         ids=["n_str", "T_float", "sigma_scalar", "algorithms_str",
-             "output_dir_int", "top_level_list", "short_csv_row"],
+             "output_dir_int", "gamma_nan", "sigma_nan", "tau_inf",
+             "top_level_list", "short_csv_row"],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, text, names):
         path = tmp_path / "input"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pfopt import full_svd, nuclear_norm, top_singular_triplet
-from pfopt.linalg import _DENSE_MAX_DIM
+from pfopt.linalg import _DENSE_MAX_DIM, _lanczos_top
 
 
 class TestTopSingularTriplet:
@@ -32,7 +32,7 @@ class TestTopSingularTriplet:
     def test_matches_full_svd(self):
         rng = np.random.default_rng(29)
         # 8 x 6 takes the dense path, 300 x (_DENSE_MAX_DIM + 1) and its
-        # transpose the power path
+        # transpose the Lanczos path
         shapes = (
             [(8, 6)] * 50
             + [(300, _DENSE_MAX_DIM + 1)] * 3
@@ -44,16 +44,30 @@ class TestTopSingularTriplet:
             assert t.s1 == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], abs=1e-8)
 
     def test_deterministic(self):
-        A = np.random.default_rng(5).standard_normal((6, 6))
-        t1, t2 = top_singular_triplet(A), top_singular_triplet(A)
-        assert np.array_equal(t1.u1, t2.u1)
-        assert np.array_equal(t1.v1, t2.v1)
-        assert t1.s1 == t2.s1
+        # dense path, then Lanczos path
+        for shape in [(6, 6), (_DENSE_MAX_DIM + 9, _DENSE_MAX_DIM + 1)]:
+            A = np.random.default_rng(5).standard_normal(shape)
+            t1, t2 = top_singular_triplet(A), top_singular_triplet(A)
+            assert np.array_equal(t1.u1, t2.u1)
+            assert np.array_equal(t1.v1, t2.v1)
+            assert t1.s1 == t2.s1
 
     def test_zero_matrix_is_degenerate(self):
-        t = top_singular_triplet(np.zeros((3, 4)))
-        assert t.s1 == 0.0
-        assert np.linalg.norm(t.u1) == pytest.approx(1.0)
+        # dense path, then Lanczos path (wide, so u1 and v1 trade places)
+        for shape in [(3, 4), (_DENSE_MAX_DIM + 1, _DENSE_MAX_DIM + 2)]:
+            t = top_singular_triplet(np.zeros(shape))
+            assert t.s1 == 0.0
+            assert t.u1.shape == (shape[0],) and t.v1.shape == (shape[1],)
+            assert np.linalg.norm(t.u1) == pytest.approx(1.0)
+            assert np.linalg.norm(t.v1) == pytest.approx(1.0)
+
+    def test_start_blind_to_the_top_direction(self, blind_start_matrix):
+        t = top_singular_triplet(blind_start_matrix)
+        assert t.s1 == pytest.approx(3.0, abs=1e-12)
+        # the matrix has rank 2, so the Krylov space turns invariant within
+        # three steps, whatever the start holds; Lanczos hands over to eigh
+        # rather than trust a Ritz value from that space
+        assert _lanczos_top(blind_start_matrix) is None
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

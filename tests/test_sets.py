@@ -119,10 +119,35 @@ class TestNuclearLmo:
             sigma1 = np.linalg.svd(A, compute_uv=False)[0]
             assert np.sum(A * out) == pytest.approx(-tau * sigma1, abs=1e-8)
 
-    @pytest.mark.parametrize("k, T", [(20, 300), (_DENSE_MAX_DIM + 1, 40)])
+    @pytest.mark.parametrize(
+        "m, n",
+        [(6, 9), (9, 6), (_DENSE_MAX_DIM + 20, _DENSE_MAX_DIM + 1),
+         (_DENSE_MAX_DIM + 1, _DENSE_MAX_DIM + 20)],
+    )
+    def test_value_on_both_sides_of_the_crossover(self, m, n):
+        tau = 2.0
+        ball = NuclearBall(m, n, tau)
+        rng = np.random.default_rng(m + n)
+        gaussian = rng.standard_normal((m, n))
+        rank_three = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+        for A in (gaussian, rank_three, np.zeros((m, n))):
+            out = ball.lmo(A.ravel())
+            sigma1 = np.linalg.svd(A, compute_uv=False)[0]
+            assert np.dot(A.ravel(), out) == pytest.approx(-tau * sigma1, abs=1e-8)
+        assert np.array_equal(ball.lmo(gaussian.ravel()), ball.lmo(gaussian.ravel()))
+
+    def test_start_blind_to_the_top_direction(self, blind_start_matrix):
+        ball = NuclearBall(300, 300, 5.0)
+        out = ball.lmo(blind_start_matrix.ravel())
+        assert np.dot(blind_start_matrix.ravel(), out) == pytest.approx(-15.0, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "k, T", [(20, 300), (257, 40), (_DENSE_MAX_DIM + 1, 100)]
+    )
     def test_value_accurate_on_solver_drift(self, k, T):
         # the drift matrices pfw steers by are ill-gapped, unlike Gaussian
-        # ones; criterion 5's instance on each side of the size crossover
+        # ones, and more so as T grows; criterion 5's instance on each side
+        # of the size crossover
         tau = 5.0
         ball = NuclearBall(k, k, tau)
         W = np.random.default_rng(55).standard_normal((k, k))
