@@ -1,4 +1,5 @@
-"""Dense SVD helpers: top singular triplet, thin decomposition, nuclear norm.
+"""Dense SVD helpers: top singular triplet, Gram eigendecomposition, thin
+decomposition, nuclear norm.
 
 ``top_singular_triplet`` solves for the top eigenvector of the smaller Gram
 matrix: by ``eigh`` up to ``_DENSE_MAX_DIM`` columns, by Lanczos above it.
@@ -47,14 +48,28 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    B = A if A.shape[1] <= A.shape[0] else A.T
+    B = _narrow(A)
     v = _lanczos_top(B) if B.shape[1] > _DENSE_MAX_DIM else None
     if v is None:
-        v = np.linalg.eigh(B.T @ B)[1][:, -1]
+        v = gram_eigh(B)[1][:, -1]
     u = B @ v
     s = float(np.linalg.norm(u))
     u = u / s if s > 0.0 else np.full(u.size, u.size**-0.5)
     return SvdTriplet(u1=u, s1=s, v1=v) if B is A else SvdTriplet(u1=v, s1=s, v1=u)
+
+
+def _narrow(A: np.ndarray) -> np.ndarray:
+    """A, or A.T if A is wide: the side with the smaller Gram matrix."""
+    return A if A.shape[1] <= A.shape[0] else A.T
+
+
+def gram_eigh(A: np.ndarray):
+    """(B, V) with B = A, or A.T if A is wide, and V the eigenvectors of
+    B.T @ B in columns, eigenvalues ascending.  The columns of B @ V are
+    orthogonal, with A's singular values as their norms.  A LAPACK failure
+    surfaces as LinAlgError."""
+    B = _narrow(A)
+    return B, np.linalg.eigh(B.T @ B)[1]
 
 
 def _lanczos_top(B: np.ndarray):

@@ -59,6 +59,9 @@ def gaussian_oracle(base: Objective, spec: GaussianNoiseSpec, dim: int) -> Stoch
 
     def noisy_subgrad(x, rng):
         g = base.subgrad(x)
+        # checked before any draw, so valid calls consume the same stream
+        if g.size != dim:
+            raise DimensionError(f"noise dimension {dim} but subgradient size {g.size}")
         if spec.sigma == 0.0:
             return g
         return g + spec.sigma * rng.standard_normal(dim)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DimensionError, FeasibleSet, _as_flat
-from .linalg import full_svd, nuclear_norm, top_singular_triplet
+from .linalg import gram_eigh, nuclear_norm, top_singular_triplet
+from .linalg import full_svd  # noqa: F401  (perfbench/layers.py times sets.full_svd)
 
 
 class Hypercube(FeasibleSet):
@@ -73,17 +74,39 @@ class NuclearBall(FeasibleSet):
         return np.outer(-self.tau * t.u1, t.v1).ravel()
 
     def project(self, z) -> np.ndarray:
-        """Singular-value soft thresholding with an exact water-filling level."""
+        """Singular-value soft thresholding with an exact water-filling level.
+
+        One ``eigh`` of the smaller Gram matrix (``gram_eigh``); the singular
+        values are the column norms of B V.  Over any orthonormal V those
+        norms sum to at least ||A||_*, so rounding errs toward shrinking and
+        ||P||_* <= tau.  Measured: interior points come back as an exact copy
+        down to a relative margin of 1e-13, except on decaying spectra
+        (singular values over 12 decades), where points within 1e-8 of the
+        boundary moved by up to 4e-9, relative.  Square roots of the Gram
+        eigenvalues moved rank-1 and rank-3 points lying 1e-7 inside.
+        """
         A = self._as_matrix(z)
-        U, s, Vt = full_svd(A)
+        B, V = gram_eigh(A)
+        BV = B @ V
+        s = np.linalg.norm(BV, axis=0)
         if s.sum() <= self.tau:
             return A.ravel().copy()
         lam = _waterfill_level(s, self.tau)
-        kept = np.maximum(0.0, s - lam)
-        return ((U * kept) @ Vt).ravel()
+        keep = s > lam
+        P = (BV[:, keep] * (1.0 - lam / s[keep])) @ V[:, keep].T
+        return (P if B is A else P.T).ravel()
 
     def contains(self, x, tol: float = 1e-7) -> bool:
-        return nuclear_norm(self._as_matrix(x)) <= self.tau + tol
+        # ||A||_F <= ||A||_* <= sqrt(min(m, n)) ||A||_F settles most points
+        # without a singular-value pass
+        A = self._as_matrix(x)
+        bound = self.tau + tol
+        fro = float(np.linalg.norm(A))
+        if fro > bound:
+            return False
+        if np.sqrt(min(self.m, self.n)) * fro <= bound:
+            return True
+        return nuclear_norm(A) <= bound
 
 
 def _waterfill_level(s: np.ndarray, tau: float) -> float:

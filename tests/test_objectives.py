@@ -117,6 +117,16 @@ class TestGaussianOracle:
         assert oracle.second_moment == pytest.approx(np.sqrt(10 + 10 * 0.25))
         assert oracle.second_moment >= obj.lipschitz
 
+    @pytest.mark.parametrize("dim", [1, 7])
+    def test_wrong_dim_rejected(self, dim):
+        # dim = 1 would broadcast one draw over all five coordinates, and
+        # either dim gives a second moment for the wrong dimension
+        obj = l1_distance(np.zeros(5))
+        for sigma in (0.0, 0.5):
+            oracle = gaussian_oracle(obj, GaussianNoiseSpec(sigma=sigma, seed=0), dim)
+            with pytest.raises(DimensionError):
+                oracle.noisy_subgrad(np.ones(5), oracle.rng())
+
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             GaussianNoiseSpec(sigma=-0.1, seed=0)

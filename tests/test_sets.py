@@ -14,11 +14,20 @@ from pfopt import (
     pfw_run,
 )
 from pfopt.linalg import _DENSE_MAX_DIM
+from pfopt.sets import _waterfill_level
 
 
 def random_feasible_nuclear(rng, m, n, tau):
     Z = rng.standard_normal((m, n))
     return Z * (tau * rng.uniform() / nuclear_norm(Z))
+
+
+def svd_projection(A, tau):
+    """Reference projection: thin SVD, then the water-filling level."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if s.sum() <= tau:
+        return A.copy()
+    return (U * np.maximum(0.0, s - _waterfill_level(s, tau))) @ Vt
 
 
 class TestHypercubeLmo:
@@ -223,6 +232,72 @@ class TestNuclearProjection:
             for _ in range(200):
                 X = random_feasible_nuclear(rng, m, n, tau)
                 assert np.sum((A - P) * (X - P)) <= 1e-8
+
+    @pytest.mark.parametrize("m, n", [(129, 140), (300, 200), (200, 300)])
+    def test_matches_svd_reference_above_the_crossover(self, m, n):
+        tau = 5.0
+        ball = NuclearBall(m, n, tau)
+        rng = np.random.default_rng(m + 2 * n)
+        k = min(m, n)
+        U = np.linalg.qr(rng.standard_normal((m, k)))[0]
+        W = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        gaussian = rng.standard_normal((m, n))
+        rank_three = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+        decaying = (U * np.logspace(0, -12, k)) @ W.T
+        for A in (gaussian, rank_three, decaying):
+            A = A * (3 * tau / nuclear_norm(A))
+            P = ball.project(A.ravel()).reshape(m, n)
+            R = svd_projection(A, tau)
+            assert np.linalg.norm(P - R) <= 1e-12 * np.linalg.norm(R)
+            assert abs(nuclear_norm(P) - tau) <= 1e-8
+        zero = np.zeros(m * n)
+        assert np.array_equal(ball.project(zero), zero)
+
+    @pytest.mark.parametrize("m, n", [(129, 140), (300, 200), (200, 300)])
+    def test_low_rank_interior_near_the_boundary_unchanged(self, m, n):
+        # 1e-8 inside the ball: the square roots of the Gram eigenvalues
+        # overstate these points' nuclear norm and would shrink them
+        tau = 5.0
+        ball = NuclearBall(m, n, tau)
+        rng = np.random.default_rng(m + 3 * n)
+        for r in (1, 3, 30):
+            A = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+            A *= tau * (1 - 1e-8) / nuclear_norm(A)
+            assert np.array_equal(ball.project(A.ravel()), A.ravel())
+
+
+class TestNuclearContains:
+    @pytest.mark.parametrize("m, n", [(6, 4), (4, 6), (140, 129), (129, 140)])
+    def test_agrees_with_nuclear_norm(self, m, n, monkeypatch):
+        tau, tol = 2.0, 1e-7
+        ball = NuclearBall(m, n, tau)
+        rng = np.random.default_rng(m * n)
+        gaussian = rng.standard_normal((m, n))
+        rank_one = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+        fro, nuc = np.linalg.norm(gaussian), nuclear_norm(gaussian)
+        root_k = np.sqrt(min(m, n))
+        # (point, inside, settled without a singular-value pass)
+        cases = [
+            (np.zeros((m, n)), True, True),
+            (gaussian * (0.9 * tau / (root_k * fro)), True, True),
+            (gaussian * (1.1 * tau / fro), False, True),
+            (rank_one * (1.01 * tau / nuclear_norm(rank_one)), False, True),
+            (gaussian * (0.99 * tau / nuc), True, False),
+            (gaussian * (1.01 * tau / nuc), False, False),
+            (rank_one * (0.99 * tau / nuclear_norm(rank_one)), True, False),
+        ]
+        svd_passes = []
+
+        def counted(A):
+            svd_passes.append(1)
+            return nuclear_norm(A)
+
+        monkeypatch.setattr("pfopt.sets.nuclear_norm", counted)
+        for X, inside, settled in cases:
+            svd_passes.clear()
+            assert ball.contains(X.ravel(), tol) is inside
+            assert inside == (nuclear_norm(X) <= tau + tol)
+            assert len(svd_passes) == (0 if settled else 1)
 
 
 class TestVertexPolytope:
