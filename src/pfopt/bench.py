@@ -16,13 +16,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .algorithms import pfw_run, pfw_run_stochastic, pgd_run, sgd_run
-from .core import (
-    Objective,
-    SolverError,
-    params_deterministic,
-    params_stochastic,
-)
+# pfw_run and pgd_run are not called here: a zero-noise cell is the noisy
+# oracle at sigma = 0.  They stay importable because perfbench/layers.py
+# patches all four solver names on this module.
+from .algorithms import pfw_run, pfw_run_stochastic, pgd_run, sgd_run  # noqa: F401
+from .core import Objective, SolverError, params_stochastic
 from .linalg import nuclear_norm
 from .objectives import (
     GaussianNoiseSpec,
@@ -37,7 +35,7 @@ from .sets import Hypercube, NuclearBall, VertexPolytope
 EXPERIMENTS = ("hypercube_l1", "nuclear_l1", "num3_demo")
 ALGORITHMS = ("pfw", "pgd")
 
-CSV_HEADER = "experiment,algorithm,n,m,sigma,T,seed,f_xbar,error,bound,wallclock_ms"
+CSV_HEADER = "experiment,algorithm,n,m,sigma,T,seed,f_xbar,error,bound"
 
 
 class ConfigError(ValueError):
@@ -101,6 +99,8 @@ class ExperimentConfig:
             raise ConfigError("T_list must be strictly increasing")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be nonnegative: {self.seeds!r}")
         if not self.algorithms:
             raise ConfigError("algorithms must be nonempty")
         for algo in self.algorithms:
@@ -141,7 +141,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One benchmark cell; error is None when the optimum is not analytic."""
+    """One benchmark cell; error is None when the optimum is not analytic.
+    wallclock_ms goes to timings.json, not the CSV, so parse_csv reads 0.0."""
 
     experiment: str
     algorithm: str
@@ -172,8 +173,7 @@ def _make_hypercube_instance(config: ExperimentConfig):
         omega = u
     objective = l1_distance(omega)
     _, f_star = hypercube_l1_optimum(omega)
-    fs = Hypercube(n)
-    return fs, objective, f_star, fs.center, n
+    return Hypercube(n), objective, f_star
 
 
 def _make_nuclear_instance(config: ExperimentConfig):
@@ -185,8 +185,7 @@ def _make_nuclear_instance(config: ExperimentConfig):
     objective = l1_distance(W.ravel())
     # a feasible anchor is itself the optimum; outside anchors have no closed form
     f_star = 0.0 if config.omega_mode == "inside" else None
-    fs = NuclearBall(m, n, tau)
-    return fs, objective, f_star, fs.center, m * n
+    return NuclearBall(m, n, tau), objective, f_star
 
 
 def _make_num3_instance(config: ExperimentConfig):
@@ -206,8 +205,7 @@ def _make_num3_instance(config: ExperimentConfig):
     )
     objective = penalized_objective(base, spec)
     verts = [np.array(v, dtype=float) for v in itertools.product((0.0, 1.0), repeat=n)]
-    fs = VertexPolytope(verts)
-    return fs, objective, None, fs.center, n
+    return VertexPolytope(verts), objective, None
 
 
 _BUILDERS = {
@@ -220,33 +218,28 @@ _BUILDERS = {
 def run_experiment(config: ExperimentConfig) -> List[CurvePoint]:
     """Run every (sigma, T, seed, algorithm) cell of the config."""
     config.validate()
-    fs, objective, f_star, x1, dim = _BUILDERS[config.experiment](config)
+    fs, objective, f_star = _BUILDERS[config.experiment](config)
+    x1 = fs.center
     G, R = objective.lipschitz, fs.radius
     points = []
     for sigma, T, seed, algo in itertools.product(
         config.sigma_list, config.T_list, config.seeds, config.algorithms
     ):
         t0 = time.perf_counter()
-        if sigma == 0.0:
-            if algo == "pfw":
-                trace = pfw_run(objective, fs, params_deterministic(G, R, T), x1)
-                bound = 3.0 * R * G / np.sqrt(T)
-            else:
-                trace = pgd_run(objective, fs, R / (G * np.sqrt(T)), T, x1)
-                bound = R * G / np.sqrt(T)
-        else:
-            oracle = gaussian_oracle(
-                objective, GaussianNoiseSpec(sigma=sigma, seed=int(seed)), dim
+        # at sigma = 0 the oracle is exact and B = G, so the schedules and
+        # bounds below are the deterministic ones
+        oracle = gaussian_oracle(
+            objective, GaussianNoiseSpec(sigma=sigma, seed=int(seed)), x1.size
+        )
+        B = oracle.second_moment
+        if algo == "pfw":
+            trace = pfw_run_stochastic(
+                oracle, fs, params_stochastic(G, B, R, T, "with_G"), x1
             )
-            B = oracle.second_moment
-            if algo == "pfw":
-                trace = pfw_run_stochastic(
-                    oracle, fs, params_stochastic(G, B, R, T, "with_G"), x1
-                )
-                bound = (B * R + 2.0 * G * R) / np.sqrt(T)
-            else:
-                trace = sgd_run(oracle, fs, R / (B * np.sqrt(T)), T, x1)
-                bound = B * R / np.sqrt(T)
+            bound = (B * R + 2.0 * G * R) / np.sqrt(T)
+        else:
+            trace = sgd_run(oracle, fs, R / (B * np.sqrt(T)), T, x1)
+            bound = B * R / np.sqrt(T)
         wallclock_ms = (time.perf_counter() - t0) * 1e3
         error = None if f_star is None else trace.f_xbar - f_star
         points.append(
@@ -268,19 +261,20 @@ def run_experiment(config: ExperimentConfig) -> List[CurvePoint]:
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.12g}"
+    # the shortest string that reads back as the same float; float() because
+    # numpy >= 2 writes np.float64(...) as its repr
+    return repr(float(v))
 
 
-def write_csv(points: List[CurvePoint], path, timed: bool = False):
-    """Emit the sorted CSV.
+def _sorted(points: List[CurvePoint]) -> List[CurvePoint]:
+    return sorted(points, key=lambda p: (p.experiment, p.algorithm, p.sigma, p.T, p.seed))
 
-    Timings are zeroed unless ``timed`` so that identical configs produce
-    byte-identical files; pass timed=True to keep the measurements.
-    """
-    rows = sorted(points, key=lambda p: (p.experiment, p.algorithm, p.sigma, p.T, p.seed))
+
+def write_csv(points: List[CurvePoint], path):
+    """Emit the sorted CSV, every float exact, so that identical configs
+    produce byte-identical files and equal bytes mean equal results."""
     lines = [CSV_HEADER]
-    for p in rows:
-        wall = p.wallclock_ms if timed else 0.0
+    for p in _sorted(points):
         lines.append(
             ",".join(
                 [
@@ -294,7 +288,6 @@ def write_csv(points: List[CurvePoint], path, timed: bool = False):
                     _fmt(p.f_xbar),
                     "" if p.error is None else _fmt(p.error),
                     _fmt(p.bound),
-                    _fmt(wall),
                 ]
             )
         )
@@ -323,7 +316,7 @@ def parse_csv(path) -> List[CurvePoint]:
                 f_xbar=float(f[7]),
                 error=None if f[8] == "" else float(f[8]),
                 bound=float(f[9]),
-                wallclock_ms=float(f[10]),
+                wallclock_ms=0.0,
             )
         )
     return points
@@ -435,7 +428,7 @@ def render_plot(points: List[CurvePoint], path):
         )
         out.append(
             f'<text x="{lx + 28}" y="{leg_y}" font-size="12">'
-            f"{algo}, sigma={_fmt(sigma)}</text>"
+            f"{algo}, sigma={sigma:.12g}</text>"
         )
         leg_y += 18
     out.append("</svg>")
@@ -451,8 +444,15 @@ def _cmd_run(args) -> int:
     points = run_experiment(config)
     csv_path = out / f"{config.experiment}.csv"
     svg_path = out / f"{config.experiment}.svg"
-    write_csv(points, csv_path, timed=args.timed)
+    write_csv(points, csv_path)
     render_plot(points, svg_path)
+    # wall-clock times differ between reruns, so they stay out of the CSV
+    timings = [
+        {"algorithm": p.algorithm, "sigma": p.sigma, "T": p.T, "seed": p.seed,
+         "wallclock_ms": p.wallclock_ms}
+        for p in _sorted(points)
+    ]
+    (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     meta = dict(asdict(config))
     meta["anchor_generation"] = {
         "mode": config.omega_mode,
@@ -482,11 +482,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config (JSON)")
     p_run.add_argument("config")
     p_run.add_argument("--output-dir", default=None)
-    p_run.add_argument(
-        "--timed",
-        action="store_true",
-        help="record wall-clock times in the CSV (breaks byte-reproducibility)",
-    )
     p_plot = sub.add_parser("plot", help="re-render an SVG from an emitted CSV")
     p_plot.add_argument("csv")
     p_plot.add_argument("out")

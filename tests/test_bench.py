@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pfopt.bench
-from pfopt import SolverError
+from pfopt import SolverError, params_deterministic, pfw_run, pgd_run
 from pfopt.bench import (
     CSV_HEADER,
     ConfigError,
@@ -91,6 +91,34 @@ class TestRunExperiment:
             else:
                 assert p.bound == pytest.approx(B * R / np.sqrt(T))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(experiment="hypercube_l1", n=6),
+            dict(experiment="nuclear_l1", n=6, m=6, tau=5.0, omega_mode="outside"),
+            dict(experiment="num3_demo", n=4, algorithms=["pfw"]),
+        ],
+        ids=["hypercube_l1", "nuclear_l1", "num3_demo"],
+    )
+    def test_zero_noise_cells_reproduce_the_exact_solvers(self, overrides):
+        # a zero-noise cell runs the noisy oracle at sigma = 0, where B = G:
+        # the same schedule, step and xbar as the exact solvers
+        cfg = small_config(sigma_list=[0.0], T_list=[40, 200], **overrides)
+        fs, objective, _ = pfopt.bench._BUILDERS[cfg.experiment](cfg)
+        G, R = objective.lipschitz, fs.radius
+        points = run_experiment(cfg)
+        assert len(points) == len(cfg.T_list) * len(cfg.algorithms)
+        for p in points:
+            rt = np.sqrt(p.T)
+            if p.algorithm == "pfw":
+                exact = pfw_run(objective, fs, params_deterministic(G, R, p.T), fs.center)
+                bound = 3.0 * R * G / rt
+            else:
+                exact = pgd_run(objective, fs, R / (G * rt), p.T, fs.center)
+                bound = R * G / rt
+            assert p.f_xbar.hex() == exact.f_xbar.hex()
+            assert p.bound == pytest.approx(bound, rel=1e-15, abs=0.0)
+
     def test_nuclear_inside_has_zero_optimum(self):
         cfg = ExperimentConfig(
             experiment="nuclear_l1", n=4, m=5, tau=2.0, omega_mode="inside",
@@ -171,20 +199,19 @@ class TestCsv:
         assert keys == sorted(keys)
 
     def test_round_trip(self, tmp_path):
-        pts = [self.point(), self.point(T=200, error=None, f_xbar=np.pi)]
+        # numpy >= 2 writes repr(np.float64) as np.float64(...), which the
+        # parse would reject
+        pts = [self.point(), self.point(T=200, error=None, f_xbar=np.pi),
+               self.point(T=300, f_xbar=np.float64(0.1) + np.float64(0.2))]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(pts, p1)
         parsed = parse_csv(p1)
         write_csv(parsed, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert [q.f_xbar for q in parsed] == [
-            float(f"{p.f_xbar:.12g}") for p in sorted(pts, key=lambda p: p.T)
-        ]
-
-    def test_timed_flag_keeps_measurements(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_csv([self.point()], path, timed=True)
-        assert path.read_text().splitlines()[1].split(",")[10] == "17.5"
+        # every float is written exactly, so the parse gives back the same bits
+        expected = sorted(pts, key=lambda p: p.T)
+        assert [q.f_xbar.hex() for q in parsed] == [p.f_xbar.hex() for p in expected]
+        assert [q.bound for q in parsed] == [p.bound for p in expected]
 
 
 class TestPlot:
@@ -250,6 +277,24 @@ class TestCli:
         assert (out / "hypercube_l1.svg").exists()
         assert (out / "metadata.json").exists()
 
+    def test_timings_leave_the_csv(self, tmp_path):
+        cfg = self.write_config(
+            tmp_path, sigma_list=[0.0, 0.5], T_list=[20, 50], seeds=[1, 2],
+            algorithms=["pfw", "pgd"],
+        )
+        assert main(["run", str(cfg)]) == 0
+        out = tmp_path / "out"
+        header, *rows = (out / "hypercube_l1.csv").read_text().splitlines()
+        assert header == CSV_HEADER and "wallclock" not in header
+        timings = json.loads((out / "timings.json").read_text())
+        assert len(timings) == len(rows) == 16
+        for entry, row in zip(timings, rows):
+            f = row.split(",")
+            assert (entry["algorithm"], entry["sigma"], entry["T"], entry["seed"]) == (
+                f[1], float(f[4]), int(f[5]), int(f[6])
+            )
+            assert entry["wallclock_ms"] > 0.0
+
     def test_output_dir_override(self, tmp_path):
         cfg = self.write_config(tmp_path)
         override = tmp_path / "elsewhere"
@@ -280,7 +325,7 @@ class TestCli:
         def fail(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(pfopt.bench, "pfw_run", fail)
+        monkeypatch.setattr(pfopt.bench, "pfw_run_stochastic", fail)
         cfg = self.write_config(tmp_path)
         assert main(["run", str(cfg)]) == 3
         assert capsys.readouterr().err.startswith("solver error:")
@@ -297,11 +342,12 @@ class TestCli:
             ("run", json.dumps(dict(CLI_CONFIG, sigma_list=[float("nan")])),
              "sigma_list"),
             ("run", json.dumps(dict(CLI_CONFIG, tau=float("inf"))), "tau"),
+            ("run", json.dumps(dict(CLI_CONFIG, seeds=[1, -1])), "seeds"),
             ("run", "[1, 2]", "JSON object"),
             ("plot", CSV_HEADER + "\nhypercube_l1,pfw,10\n", "line 2"),
         ],
         ids=["n_str", "T_float", "sigma_scalar", "algorithms_str",
-             "output_dir_int", "gamma_nan", "sigma_nan", "tau_inf",
+             "output_dir_int", "gamma_nan", "sigma_nan", "tau_inf", "seeds_negative",
              "top_level_list", "short_csv_row"],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, text, names):
