@@ -72,8 +72,10 @@ class RunTrace:
 
 
 def _guard(arr: np.ndarray, k: int):
-    # one scan: the max propagates NaN, and NaN <= bound is False
-    if not np.max(np.abs(arr)) <= _MAGNITUDE_GUARD:
+    # two passes, abs then max, and no square to overflow; the max
+    # propagates NaN, and NaN <= bound is False.  The ufunc is called
+    # directly: np.max's Python wrapper costs more than the scan at n = 100
+    if not np.maximum.reduce(np.abs(arr)) <= _MAGNITUDE_GUARD:
         if not np.all(np.isfinite(arr)):
             raise SolverError("iterate became non-finite", k)
         raise SolverError("iterate magnitude exceeded guard; oracle bug likely", k)
@@ -98,11 +100,14 @@ def _drift_steps(get_subgrad, feasible_set: FeasibleSet, params: PfwParams, x):
     y = x.copy()
     Q = np.zeros_like(x)
     alpha, eta = params.alpha, params.eta
+    denom = alpha + eta
     while True:
         Q += y - x
         g = np.asarray(get_subgrad(y), dtype=float)
         x = np.asarray(feasible_set.lmo(-Q), dtype=float)
-        y = (alpha * y + eta * x - eta * Q - g) / (alpha + eta)
+        # scalars on the right: array * scalar dispatches straight to the
+        # ufunc; the products are the same bits either way
+        y = (y * alpha + x * eta - Q * eta - g) / denom
         yield x, y, Q, g
 
 
@@ -113,9 +118,10 @@ def _projected_steps(
 
     Yields (x, x, None, None) once per iteration.
     """
+    beta = step.beta
     while True:
         g = np.asarray(get_subgrad(x), dtype=float)
-        x = np.asarray(feasible_set.project(x - step.beta * g), dtype=float)
+        x = np.asarray(feasible_set.project(x - g * beta), dtype=float)
         yield x, x, None, None
 
 

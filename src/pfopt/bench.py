@@ -196,7 +196,7 @@ def _make_num3_instance(config: ExperimentConfig):
 
     def subgrad(x):
         g = np.zeros(len(x))
-        g[int(np.argmin(x))] = -1.0
+        g[x.argmin()] = -1.0
         return g
 
     base = Objective(value=value, subgrad=subgrad, lipschitz=1.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,6 +23,13 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, iteration: int):
         super().__init__(f"{message} (iteration {iteration})")
         self.iteration = iteration
+
+
+def _check_seed(seed) -> None:
+    # numpy would reject a bad seed only at the first draw, naming no field;
+    # bool is Integral, but True is no seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _as_flat(x) -> np.ndarray:
@@ -88,6 +96,7 @@ class StochasticOracle:
             raise ValueError(
                 "second-moment bound must dominate the Lipschitz bound"
             )
+        _check_seed(self.seed)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

@@ -7,6 +7,7 @@ matrix: by ``eigh`` up to ``_DENSE_MAX_DIM`` columns, by Lanczos above it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
     if v is None:
         v = gram_eigh(B)[1][:, -1]
     u = B @ v
-    s = float(np.linalg.norm(u))
+    s = math.sqrt(u.dot(u))
     u = u / s if s > 0.0 else np.full(u.size, u.size**-0.5)
     return SvdTriplet(u1=u, s1=s, v1=v) if B is A else SvdTriplet(u1=v, s1=s, v1=u)
 
@@ -80,7 +81,7 @@ def _lanczos_top(B: np.ndarray):
     Q = np.empty((n, n))  # row j is the j-th Lanczos vector
     T = np.zeros((n, n))  # the tridiagonal projection of B.T @ B onto them
     q = np.random.default_rng(0).standard_normal(n)
-    q /= np.linalg.norm(q)
+    q /= math.sqrt(q.dot(q))
     scale = 0.0  # the largest Rayleigh quotient so far, <= sigma1^2
     for k in range(n - 1):
         Q[k] = q
@@ -90,7 +91,7 @@ def _lanczos_top(B: np.ndarray):
         basis = Q[: k + 1]
         for _ in range(2):
             w -= (basis @ w) @ basis
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(w.dot(w))
         if beta <= _LANCZOS_TOL * scale:
             return None
         if k % _LANCZOS_CHECK_EVERY == _LANCZOS_CHECK_EVERY - 1:

@@ -8,7 +8,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import DimensionError, Objective, StochasticOracle, _as_flat
+from .core import DimensionError, Objective, StochasticOracle, _as_flat, _check_seed
 
 
 def l1_distance(omega) -> Objective:
@@ -52,19 +52,22 @@ class GaussianNoiseSpec:
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
+        _check_seed(self.seed)
 
 
 def gaussian_oracle(base: Objective, spec: GaussianNoiseSpec, dim: int) -> StochasticOracle:
     """Wrap an exact oracle with iid Gaussian noise on every subgradient call."""
+
+    sigma = spec.sigma
 
     def noisy_subgrad(x, rng):
         g = base.subgrad(x)
         # checked before any draw, so valid calls consume the same stream
         if g.size != dim:
             raise DimensionError(f"noise dimension {dim} but subgradient size {g.size}")
-        if spec.sigma == 0.0:
+        if sigma == 0.0:
             return g
-        return g + spec.sigma * rng.standard_normal(dim)
+        return g + rng.standard_normal(dim) * sigma
 
     B = float(np.sqrt(base.lipschitz**2 + dim * spec.sigma**2))
     return StochasticOracle(
@@ -128,12 +131,14 @@ def penalized_objective(base: Objective, spec: PenaltySpec) -> Objective:
             return base.value(x) + spec.gamma * worst
         return base.value(x)
 
+    gamma = spec.gamma
+
     def subgrad(x):
         x = _as_flat(x)
         g = np.array(base.subgrad(x), dtype=float, copy=True)
         worst, j_star = _worst(x)
         if worst > 0.0:
-            g += spec.gamma * spec.constraints[j_star][0]
+            g += spec.constraints[j_star][0] * gamma
         return g
 
     norms = [np.linalg.norm(a) for a, _ in spec.constraints]

@@ -35,7 +35,8 @@ class Hypercube(FeasibleSet):
         return -np.sign(d)
 
     def project(self, z) -> np.ndarray:
-        return np.clip(self._check(z), -1.0, 1.0)
+        # the method skips np.clip's Python wrapper; same call, same bits
+        return self._check(z).clip(-1.0, 1.0)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return bool(np.all(np.abs(self._check(x)) <= 1.0 + tol))
@@ -149,4 +150,4 @@ class VertexPolytope(FeasibleSet):
             raise DimensionError("direction dimension mismatch")
         scores = self.vertices @ d
         # argmin returns the lowest index on ties, which is the documented rule
-        return self.vertices[int(np.argmin(scores))].copy()
+        return self.vertices[scores.argmin()].copy()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from pfopt import (
     GaussianNoiseSpec,
     Hypercube,
     Objective,
+    PfwParams,
     SolverError,
     StochasticOracle,
     UnsupportedSetError,
@@ -32,6 +35,38 @@ def hypercube_problem(n):
     return fs, obj, f_star
 
 
+def reference_runs(omega, sigma, seed, params, beta, T):
+    """The drift and projected updates on the hypercube with the l1 distance
+    to omega and N(0, sigma^2 I) noise, written out step by step.  Returns
+    (xbar, f(xbar), last y) of each; the projected update's y is its x."""
+    n = omega.size
+    alpha, eta = params.alpha, params.eta
+
+    rng = np.random.default_rng(seed)
+    x = np.zeros(n)
+    y = x.copy()
+    Q = np.zeros(n)
+    total = x.copy()
+    for _ in range(T - 1):
+        Q += y - x
+        g = np.sign(y - omega) + sigma * rng.standard_normal(n)
+        x = -np.sign(-Q)
+        y = (alpha * y + eta * x - eta * Q - g) / (alpha + eta)
+        total += x
+    pfw = (total / T, y)
+
+    rng = np.random.default_rng(seed)
+    x = np.zeros(n)
+    total = x.copy()
+    for _ in range(T):
+        g = np.sign(x - omega) + sigma * rng.standard_normal(n)
+        x = np.clip(x - beta * g, -1.0, 1.0)
+        total += x
+    pgd = (total / (T + 1), x)
+
+    return [(xbar, float(np.abs(xbar - omega).sum()), y) for xbar, y in (pfw, pgd)]
+
+
 class HugeLmoHypercube(Hypercube):
     def lmo(self, direction):
         return np.full(self.n, 1e13)
@@ -50,6 +85,20 @@ class NegInfLmoHypercube(Hypercube):
 class HugeProjectionHypercube(Hypercube):
     def project(self, z):
         return np.full(self.n, 1e13)
+
+
+class ConstantHypercube(Hypercube):
+    """Returns one fixed array from both the LMO and the projection."""
+
+    def __init__(self, value):
+        super().__init__(len(value))
+        self.value = np.array(value, dtype=float)
+
+    def lmo(self, direction):
+        return self.value.copy()
+
+    def project(self, z):
+        return self.value.copy()
 
 
 class CountingHypercube(Hypercube):
@@ -245,6 +294,45 @@ class TestPfwRun:
             pfw_run(obj, fs, params_deterministic(1.0, fs.radius, 10), fs.center)
         assert err.value.iteration == 1
 
+    # the guard's edges: +-1e12 itself and -0.0 pass; the next float up, and
+    # a magnitude whose square overflows, are "magnitude exceeded" with no
+    # RuntimeWarning; a NaN next to a huge entry is "non-finite"
+    @pytest.mark.parametrize(
+        "value, message",
+        [([1e12, -1e12], None),
+         ([-0.0, 1.0], None),
+         ([np.nextafter(1e12, np.inf), 0.0], "magnitude exceeded"),
+         ([0.0, -np.nextafter(1e12, np.inf)], "magnitude exceeded"),
+         ([1e200, 0.0], "magnitude exceeded"),
+         ([1e200, np.nan], "non-finite")],
+        ids=["at bound", "negative zero", "above bound", "below -bound",
+             "overflowing square", "huge and nan"],
+    )
+    @pytest.mark.parametrize("place", ["lmo x", "projection x", "y"])
+    def test_guard_edges(self, value, message, place):
+        value = np.array(value)
+        if place == "y":
+            # x1 = 0, Q = 0 and lmo(0) = 0 in the first step, so with
+            # alpha = eta = 1 the update is y = -g / 2 = value, exactly
+            fs, subgrad = Hypercube(2), lambda x: -2.0 * value
+        else:
+            fs, subgrad = ConstantHypercube(value), lambda x: np.zeros(2)
+        obj = Objective(value=lambda x: 0.0, subgrad=subgrad, lipschitz=1.0)
+        if place == "projection x":
+            run = lambda: pgd_run(obj, fs, 1.0, 1, np.zeros(2), record_iterates=True)
+        else:
+            params = PfwParams(alpha=1.0, eta=1.0, horizon=2)
+            run = lambda: pfw_run(obj, fs, params, np.zeros(2), record_iterates=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if message is None:
+                log = run().iterates
+                assert np.array_equal(log.ys[0] if place == "y" else log.xs[0], value)
+                return
+            with pytest.raises(SolverError, match=message) as err:
+                run()
+        assert err.value.iteration == 1
+
     def test_nan_oracle_fails(self):
         fs = Hypercube(3)
         bad = Objective(
@@ -350,6 +438,29 @@ class TestStochasticRuns:
         mean = np.mean(errs)
         slack = 3 * np.std(errs, ddof=1) / np.sqrt(n_seeds)
         assert mean <= (B * R + 2 * G * R) / np.sqrt(T) + slack
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_matches_reference_transcription(self, sigma):
+        # pins the solvers' operation order: a reordering of the arithmetic
+        # shows in the last bits of y; pfw's xbar averages sign vectors, so
+        # it moves only when a sign of Q flips
+        n, T, seed = 7, 60, 5
+        omega = np.array([2.5, -1.7, 0.3, 1.2, -0.4, 3.0, -2.2])
+        fs, obj = Hypercube(n), l1_distance(omega)
+        oracle = gaussian_oracle(obj, GaussianNoiseSpec(sigma=sigma, seed=seed), n)
+        G, B, R = obj.lipschitz, oracle.second_moment, fs.radius
+        params = params_stochastic(G, B, R, T, "with_G")
+        beta = R / (B * np.sqrt(T))
+        traces = (
+            pfw_run_stochastic(oracle, fs, params, fs.center, record_iterates=True),
+            sgd_run(oracle, fs, beta, T, fs.center, record_iterates=True),
+        )
+        for trace, (xbar, f_xbar, y) in zip(
+            traces, reference_runs(omega, sigma, seed, params, beta, T)
+        ):
+            assert trace.xbar.tobytes() == xbar.tobytes()
+            assert trace.f_xbar.hex() == f_xbar.hex()
+            assert trace.iterates.ys[-1].tobytes() == y.tobytes()
 
     def test_b_only_schedule_runs(self):
         n, T = 5, 500

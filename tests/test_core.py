@@ -84,6 +84,17 @@ class TestOracleHandles:
                 seed=0,
             )
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, False, "3", None])
+    def test_rejects_bad_seed(self, seed):
+        base = _dummy_objective()
+        with pytest.raises(ValueError, match="seed"):
+            StochasticOracle(
+                base=base,
+                noisy_subgrad=lambda x, rng: base.subgrad(x),
+                second_moment=1.0,
+                seed=seed,
+            )
+
     def test_rng_is_seed_stable(self):
         base = _dummy_objective()
         oracle = StochasticOracle(

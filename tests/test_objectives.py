@@ -131,6 +131,15 @@ class TestGaussianOracle:
         with pytest.raises(ValueError):
             GaussianNoiseSpec(sigma=-0.1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_rejects_bad_seed(self, seed):
+        # numpy would fail only at the first draw, naming no field
+        with pytest.raises(ValueError, match="seed"):
+            GaussianNoiseSpec(sigma=0.5, seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        assert GaussianNoiseSpec(sigma=0.5, seed=np.int64(3)).seed == 3
+
 
 class TestLipschitzExtension:
     grid = [np.array([t]) for t in np.linspace(-1.0, 1.0, 2001)]
