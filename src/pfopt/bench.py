@@ -20,7 +20,7 @@ import numpy as np
 # oracle at sigma = 0.  They stay importable because perfbench/layers.py
 # patches all four solver names on this module.
 from .algorithms import pfw_run, pfw_run_stochastic, pgd_run, sgd_run  # noqa: F401
-from .core import Objective, SolverError, params_stochastic
+from .core import Objective, SolverError, _check_seed, params_stochastic
 from .linalg import nuclear_norm
 from .objectives import (
     GaussianNoiseSpec,
@@ -77,12 +77,17 @@ class ExperimentConfig:
             if not ok(value):
                 raise ConfigError(f"{name} has an invalid value: {value!r}")
         for name, ok in (("sigma_list", _is_real), ("T_list", _is_int),
-                         ("seeds", _is_int), ("algorithms", _is_str)):
+                         ("seeds", None), ("algorithms", _is_str)):
             values = getattr(self, name)
             if not isinstance(values, list):
                 raise ConfigError(f"{name} must be a list, got {values!r}")
-            if not all(ok(v) for v in values):
+            if ok is not None and not all(ok(v) for v in values):
                 raise ConfigError(f"{name} has an invalid entry: {values!r}")
+        for seed in self.seeds:
+            try:
+                _check_seed(seed)
+            except ValueError as exc:
+                raise ConfigError(f"seeds has an invalid entry: {exc}") from None
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.n < 1:
@@ -99,8 +104,6 @@ class ExperimentConfig:
             raise ConfigError("T_list must be strictly increasing")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
-        if any(s < 0 for s in self.seeds):
-            raise ConfigError(f"seeds must be nonnegative: {self.seeds!r}")
         if not self.algorithms:
             raise ConfigError("algorithms must be nonempty")
         for algo in self.algorithms:

@@ -7,6 +7,7 @@ matrix: by ``eigh`` up to ``_DENSE_MAX_DIM`` columns, by Lanczos above it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,10 +22,11 @@ import numpy as np
 # ill-gapped matrices take it 30-60 steps at k <= 160; eigh grows as k^3.
 _DENSE_MAX_DIM = 128
 # Lanczos stops once the top Ritz residual ||G v - theta v|| <= tol * theta;
-# the value error is second order in it (<= 2e-15 at 300 x 300, T = 40).
+# the value error is second order in it (<= 3.1e-15 at 300 x 300, T = 40).
 _LANCZOS_TOL = 1e-8
 # The stop test's eigh of the k x k tridiagonal outgrows one Lanczos step
-# (300 us at k = 48); run every fourth step, k = 160 calls fell 5.6 -> 3.0 ms.
+# (44 against 15 us at k = 48, n = 160); run every fourth step, calls on
+# 160 x 160 drift matrices fell 2.8 -> 1.3 ms (one BLAS thread, 2 cores).
 _LANCZOS_CHECK_EVERY = 4
 
 
@@ -42,12 +44,14 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
 
     With ``B`` the one of ``A`` and ``A.T`` with fewer columns and ``v`` the
     top eigenvector of ``B.T @ B``: ``s1 = ||B v||`` and ``u = B v / s1``, so
-    ``s1 <= sigma1`` and ``<A, u1 v1^T> = s1`` to rounding.  A zero matrix
+    ``s1 <= sigma1`` and ``<A, u1 v1^T> = s1`` to rounding.  The Lanczos path
+    renormalises its Ritz vector ``v``, so ``||v1|| = 1`` and ``s1 <= sigma1``
+    hold however far its basis's orthogonality has drifted.  A zero matrix
     gives ``s1 = 0`` with unit vectors.  Deterministic.  Raises ValueError on
     non-finite input; a LAPACK failure surfaces as LinAlgError.
     """
     A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     B = _narrow(A)
     v = _lanczos_top(B) if B.shape[1] > _DENSE_MAX_DIM else None
@@ -73,15 +77,29 @@ def gram_eigh(A: np.ndarray):
     return B, np.linalg.eigh(B.T @ B)[1]
 
 
+@functools.lru_cache(maxsize=16)  # bounded: a sweep over sizes must not grow it
+def _lanczos_start(n: int) -> np.ndarray:
+    """The fixed unit start vector of length n, built once and read-only, so
+    that every call at one size starts from the same bits."""
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= math.sqrt(q.dot(q))
+    q.flags.writeable = False
+    return q
+
+
 def _lanczos_top(B: np.ndarray):
-    """Top eigenvector of ``B.T @ B`` by fully reorthogonalised Lanczos, or
-    None if the Krylov space turns invariant or nears full dimension first:
-    the start may lack the top direction, so theta_max need not be sigma1^2."""
+    """Top eigenvector of ``B.T @ B`` by Lanczos, or None if the Krylov space
+    turns invariant or nears full dimension first: the start may lack the top
+    direction, so theta_max need not be sigma1^2.
+
+    Each step makes one classical Gram-Schmidt pass against the whole basis.
+    On pfw's 300 x 300 drift matrices that kept max |Q Q^T - I| at return
+    within 3.6e-12 (two passes: 2.0e-15).  The Ritz vector is renormalised
+    on return, so its unit norm does not rest on that orthogonality."""
     n = B.shape[1]
     Q = np.empty((n, n))  # row j is the j-th Lanczos vector
     T = np.zeros((n, n))  # the tridiagonal projection of B.T @ B onto them
-    q = np.random.default_rng(0).standard_normal(n)
-    q /= math.sqrt(q.dot(q))
+    q = _lanczos_start(n)
     scale = 0.0  # the largest Rayleigh quotient so far, <= sigma1^2
     for k in range(n - 1):
         Q[k] = q
@@ -89,15 +107,15 @@ def _lanczos_top(B: np.ndarray):
         T[k, k] = q @ w
         scale = max(scale, T[k, k])
         basis = Q[: k + 1]
-        for _ in range(2):
-            w -= (basis @ w) @ basis
+        w -= (basis @ w) @ basis
         beta = math.sqrt(w.dot(w))
         if beta <= _LANCZOS_TOL * scale:
             return None
         if k % _LANCZOS_CHECK_EVERY == _LANCZOS_CHECK_EVERY - 1:
             theta, S = np.linalg.eigh(T[: k + 1, : k + 1])
             if beta * abs(S[-1, -1]) <= _LANCZOS_TOL * theta[-1]:
-                return S[:, -1] @ basis
+                v = S[:, -1] @ basis
+                return v / math.sqrt(v.dot(v))
         T[k, k + 1] = T[k + 1, k] = beta
         q = w / beta
     return None

@@ -343,12 +343,16 @@ class TestCli:
              "sigma_list"),
             ("run", json.dumps(dict(CLI_CONFIG, tau=float("inf"))), "tau"),
             ("run", json.dumps(dict(CLI_CONFIG, seeds=[1, -1])), "seeds"),
+            ("run", json.dumps(dict(CLI_CONFIG, seeds=[True])), "seeds"),
+            ("run", json.dumps(dict(CLI_CONFIG, seeds=[1.0])), "seeds"),
+            ("run", json.dumps(dict(CLI_CONFIG, seeds=[None])), "seeds"),
             ("run", "[1, 2]", "JSON object"),
             ("plot", CSV_HEADER + "\nhypercube_l1,pfw,10\n", "line 2"),
         ],
         ids=["n_str", "T_float", "sigma_scalar", "algorithms_str",
              "output_dir_int", "gamma_nan", "sigma_nan", "tau_inf", "seeds_negative",
-             "top_level_list", "short_csv_row"],
+             "seeds_bool", "seeds_float", "seeds_none", "top_level_list",
+             "short_csv_row"],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, text, names):
         path = tmp_path / "input"

@@ -44,13 +44,36 @@ class TestTopSingularTriplet:
             assert t.s1 == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], abs=1e-8)
 
     def test_deterministic(self):
-        # dense path, then Lanczos path
+        # dense path, then Lanczos path; a Lanczos call at another size runs
+        # between the two calls, so the start vector, built once per size,
+        # must carry nothing from one call to the next
+        other = np.random.default_rng(6).standard_normal((_DENSE_MAX_DIM + 40,) * 2)
         for shape in [(6, 6), (_DENSE_MAX_DIM + 9, _DENSE_MAX_DIM + 1)]:
             A = np.random.default_rng(5).standard_normal(shape)
-            t1, t2 = top_singular_triplet(A), top_singular_triplet(A)
+            t1 = top_singular_triplet(A)
+            top_singular_triplet(other)
+            t2 = top_singular_triplet(A)
             assert np.array_equal(t1.u1, t2.u1)
             assert np.array_equal(t1.v1, t2.v1)
             assert t1.s1 == t2.s1
+
+    def test_tiny_gap_with_one_reorthogonalisation_pass(self):
+        # sigma1 = 1 and sigma2 = 1 - 1e-6 above a Gaussian tail scaled to at
+        # most 0.9: a near-double top that Lanczos, with one Gram-Schmidt
+        # pass per step, must still resolve to 1e-12 with unit vectors
+        n = 300
+        rng = np.random.default_rng(41)
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        tail = np.sort(np.abs(rng.standard_normal(n - 2)))[::-1]
+        s = np.concatenate([[1.0, 1.0 - 1e-6], 0.9 * tail / tail[0]])
+        A = (U * s) @ V.T
+        assert _lanczos_top(A) is not None
+        t = top_singular_triplet(A)
+        sigma1 = np.linalg.svd(A, compute_uv=False)[0]
+        assert abs(t.s1 - sigma1) <= 1e-12
+        assert abs(np.linalg.norm(t.u1) - 1.0) <= 1e-14
+        assert abs(np.linalg.norm(t.v1) - 1.0) <= 1e-14
 
     def test_zero_matrix_is_degenerate(self):
         # dense path, then Lanczos path (wide, so u1 and v1 trade places)

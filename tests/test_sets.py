@@ -12,6 +12,7 @@ from pfopt import (
     nuclear_norm,
     params_deterministic,
     pfw_run,
+    top_singular_triplet,
 )
 from pfopt.linalg import _DENSE_MAX_DIM
 from pfopt.sets import _waterfill_level
@@ -144,6 +145,23 @@ class TestNuclearLmo:
             sigma1 = np.linalg.svd(A, compute_uv=False)[0]
             assert np.dot(A.ravel(), out) == pytest.approx(-tau * sigma1, abs=1e-8)
         assert np.array_equal(ball.lmo(gaussian.ravel()), ball.lmo(gaussian.ravel()))
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [(9, 6), (6, 6), (6, 9), (_DENSE_MAX_DIM + 20, _DENSE_MAX_DIM + 1),
+         (_DENSE_MAX_DIM + 1, _DENSE_MAX_DIM + 1),
+         (_DENSE_MAX_DIM + 1, _DENSE_MAX_DIM + 20)],
+    )
+    def test_rank_one_product_equals_outer(self, m, n):
+        # the BLAS product writes +0.0 where np.outer writes -0.0;
+        # array_equal counts the two as equal.  tau is a power of two, so
+        # scaling before or after the product rounds alike
+        tau = 2.0
+        ball = NuclearBall(m, n, tau)
+        d = np.random.default_rng(m * n).standard_normal(m * n)
+        t = top_singular_triplet(d.reshape(m, n))
+        expected = -tau * np.outer(t.u1, t.v1).ravel()
+        assert np.array_equal(ball.lmo(d), expected)
 
     def test_start_blind_to_the_top_direction(self, blind_start_matrix):
         ball = NuclearBall(300, 300, 5.0)
