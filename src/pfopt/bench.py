@@ -20,7 +20,7 @@ import numpy as np
 # oracle at sigma = 0.  They stay importable because perfbench/layers.py
 # patches all four solver names on this module.
 from .algorithms import pfw_run, pfw_run_stochastic, pgd_run, sgd_run  # noqa: F401
-from .core import Objective, SolverError, _check_seed, params_stochastic
+from .core import Objective, SolverError, params_stochastic
 from .linalg import nuclear_norm
 from .objectives import (
     GaussianNoiseSpec,
@@ -35,7 +35,14 @@ from .sets import Hypercube, NuclearBall, VertexPolytope
 EXPERIMENTS = ("hypercube_l1", "nuclear_l1", "num3_demo")
 ALGORITHMS = ("pfw", "pgd")
 
-CSV_HEADER = "experiment,algorithm,n,m,sigma,T,seed,f_xbar,error,bound"
+# The CSV's columns in order, each with its type: the header, write_csv and
+# parse_csv are all built from this table.  They are CurvePoint's fields bar
+# wallclock_ms, which goes to timings.json.
+_COLUMNS = (
+    ("experiment", str), ("algorithm", str), ("n", int), ("m", int), ("sigma", float),
+    ("T", int), ("seed", int), ("f_xbar", float), ("error", float), ("bound", float),
+)
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 class ConfigError(ValueError):
@@ -51,8 +58,27 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < math.inf
 
 
-def _is_str(v) -> bool:
-    return isinstance(v, str)
+def _each(ok):
+    """The rule of a list field: a nonempty list whose every entry passes ok."""
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v))
+
+
+# The one rule each field's value must meet, and its wording for the error.
+# Configs arrive as JSON, so every rule checks the type before the range.
+_FIELD_RULES = {
+    "experiment": (lambda v: v in EXPERIMENTS, f"one of {EXPERIMENTS}"),
+    "n": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "m": (_is_int, "an integer"),
+    "tau": (_is_real, "a finite number"),
+    "gamma": (_is_real, "a finite number"),
+    "omega_mode": (lambda v: v in ("inside", "outside"), "'inside' or 'outside'"),
+    "output_dir": (lambda v: isinstance(v, str), "a string"),
+    "sigma_list": (_each(lambda v: _is_real(v) and v >= 0),
+                   "a nonempty list of finite numbers >= 0"),
+    "T_list": (_each(lambda v: _is_int(v) and v >= 1), "a nonempty list of integers >= 1"),
+    "seeds": (_each(lambda v: _is_int(v) and v >= 0), "a nonempty list of integers >= 0"),
+    "algorithms": (_each(lambda v: v in ALGORITHMS), f"a nonempty list from {ALGORITHMS}"),
+}
 
 
 @dataclass
@@ -70,68 +96,27 @@ class ExperimentConfig:
     gamma: float = 10.0
 
     def validate(self):
-        # configs arrive as JSON, so check types before comparing values
-        for name, ok in (("n", _is_int), ("m", _is_int), ("tau", _is_real),
-                         ("gamma", _is_real), ("output_dir", _is_str)):
+        for name, (ok, what) in _FIELD_RULES.items():
             value = getattr(self, name)
             if not ok(value):
-                raise ConfigError(f"{name} has an invalid value: {value!r}")
-        for name, ok in (("sigma_list", _is_real), ("T_list", _is_int),
-                         ("seeds", None), ("algorithms", _is_str)):
-            values = getattr(self, name)
-            if not isinstance(values, list):
-                raise ConfigError(f"{name} must be a list, got {values!r}")
-            if ok is not None and not all(ok(v) for v in values):
-                raise ConfigError(f"{name} has an invalid entry: {values!r}")
-        for seed in self.seeds:
-            try:
-                _check_seed(seed)
-            except ValueError as exc:
-                raise ConfigError(f"seeds has an invalid entry: {exc}") from None
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
-        if not self.sigma_list:
-            raise ConfigError("sigma_list must be nonempty")
-        if any(s < 0 for s in self.sigma_list):
-            raise ConfigError("sigma values must be nonnegative")
-        if not self.T_list:
-            raise ConfigError("T_list must be nonempty")
-        if any(t < 1 for t in self.T_list):
-            raise ConfigError("T values must be positive")
-        if list(self.T_list) != sorted(set(self.T_list)):
+                raise ConfigError(f"{name} has an invalid value: {value!r} (must be {what})")
+        # the rules that tie fields together
+        if self.T_list != sorted(set(self.T_list)):
             raise ConfigError("T_list must be strictly increasing")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        if not self.algorithms:
-            raise ConfigError("algorithms must be nonempty")
-        for algo in self.algorithms:
-            if algo not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {algo!r}")
-        if self.omega_mode not in ("inside", "outside"):
-            raise ConfigError("omega_mode must be 'inside' or 'outside'")
-        if self.experiment == "nuclear_l1":
-            if self.m < 1:
-                raise ConfigError("nuclear_l1 needs m >= 1")
-            if not self.tau > 0:
-                raise ConfigError("nuclear_l1 needs tau > 0")
-        if self.experiment == "num3_demo":
-            if self.n > 10:
-                raise ConfigError("num3_demo vertex polytope is capped at n <= 10")
-            if "pgd" in self.algorithms:
-                raise ConfigError("num3_demo has no projection; only pfw applies")
+        if self.experiment == "nuclear_l1" and not (self.m >= 1 and self.tau > 0):
+            raise ConfigError("nuclear_l1 needs m >= 1 and tau > 0")
+        if self.experiment == "num3_demo" and self.n > 10:
+            raise ConfigError("num3_demo vertex polytope is capped at n <= 10")
+        if self.experiment == "num3_demo" and "pgd" in self.algorithms:
+            raise ConfigError("num3_demo has no projection; only pfw applies")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
+        # an unreadable file raises OSError, bad JSON a ValueError
+        raw = json.loads(Path(path).read_text())
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
@@ -273,55 +258,51 @@ def _sorted(points: List[CurvePoint]) -> List[CurvePoint]:
     return sorted(points, key=lambda p: (p.experiment, p.algorithm, p.sigma, p.T, p.seed))
 
 
+def _format_field(p: CurvePoint, name: str, kind) -> str:
+    v = getattr(p, name)
+    return "" if v is None else _fmt(v) if kind is float else str(v)
+
+
 def write_csv(points: List[CurvePoint], path):
     """Emit the sorted CSV, every float exact, so that identical configs
     produce byte-identical files and equal bytes mean equal results."""
     lines = [CSV_HEADER]
     for p in _sorted(points):
-        lines.append(
-            ",".join(
-                [
-                    p.experiment,
-                    p.algorithm,
-                    str(p.n),
-                    str(p.m),
-                    _fmt(p.sigma),
-                    str(p.T),
-                    str(p.seed),
-                    _fmt(p.f_xbar),
-                    "" if p.error is None else _fmt(p.error),
-                    _fmt(p.bound),
-                ]
-            )
-        )
+        lines.append(",".join(_format_field(p, name, kind) for name, kind in _COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_field(name: str, kind, text: str):
+    # only error may be empty (no closed-form optimum); a float must be
+    # finite and T at least 1, or the plot's log axes have no range
+    if name == "error" and text == "":
+        return None
+    try:
+        v = kind(text)
+    except ValueError:
+        v = None
+    if v is None or (kind is float and not math.isfinite(v)) or (name == "T" and v < 1):
+        raise ValueError(f"{name} has an invalid value {text!r}")
+    return v
+
+
 def parse_csv(path) -> List[CurvePoint]:
+    """The points of a CSV that write_csv wrote.  Raises ValueError naming
+    the line, and the field where one value is malformed."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized CSV header")
-    width = CSV_HEADER.count(",") + 1
     points = []
     for lineno, line in enumerate(lines[1:], start=2):
         f = line.split(",")
-        if len(f) != width:
-            raise ValueError(f"line {lineno}: expected {width} fields, got {len(f)}")
-        points.append(
-            CurvePoint(
-                experiment=f[0],
-                algorithm=f[1],
-                n=int(f[2]),
-                m=int(f[3]),
-                sigma=float(f[4]),
-                T=int(f[5]),
-                seed=int(f[6]),
-                f_xbar=float(f[7]),
-                error=None if f[8] == "" else float(f[8]),
-                bound=float(f[9]),
-                wallclock_ms=0.0,
-            )
-        )
+        if len(f) != len(_COLUMNS):
+            raise ValueError(f"line {lineno}: expected {len(_COLUMNS)} fields, got {len(f)}")
+        try:
+            values = {name: _parse_field(name, kind, text)
+                      for (name, kind), text in zip(_COLUMNS, f)}
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        points.append(CurvePoint(**values, wallclock_ms=0.0))
     return points
 
 
@@ -349,6 +330,17 @@ def series_means(points: List[CurvePoint]):
     return out
 
 
+def _log_axis(values):
+    """(lo, hi, decades) of one log axis: the log10 range of the positive
+    values, a decade wide if they are all equal, and the integer decades
+    inside it, where the ticks go."""
+    lo, hi = np.log10(min(values)), np.log10(max(values))
+    if hi - lo < 1e-9:
+        hi = lo + 1.0
+    decades = range(int(np.floor(lo)), int(np.ceil(hi)) + 1)
+    return lo, hi, [d for d in decades if lo - 1e-9 <= d <= hi + 1e-9]
+
+
 def render_plot(points: List[CurvePoint], path):
     """Standalone log-log SVG: one mean-value series per (algorithm, sigma)
     plus a dashed guarantee-bound reference for each.  Output is a plain string
@@ -362,12 +354,8 @@ def render_plot(points: List[CurvePoint], path):
         for T, y, bound in pts:
             all_x.append(T)
             all_y.extend([max(abs(y), floor), max(bound, floor)])
-    lx0, lx1 = np.log10(min(all_x)), np.log10(max(all_x))
-    ly0, ly1 = np.log10(min(all_y)), np.log10(max(all_y))
-    if lx1 - lx0 < 1e-9:
-        lx1 = lx0 + 1.0
-    if ly1 - ly0 < 1e-9:
-        ly1 = ly0 + 1.0
+    lx0, lx1, x_decades = _log_axis(all_x)
+    ly0, ly1, y_decades = _log_axis(all_y)
 
     iw = _PLOT_W - _MARGIN_L - _MARGIN_R
     ih = _PLOT_H - _MARGIN_T - _MARGIN_B
@@ -385,29 +373,22 @@ def render_plot(points: List[CurvePoint], path):
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{iw}" height="{ih}" '
         'fill="none" stroke="black"/>',
     ]
-    # decade ticks
-    for d in range(int(np.floor(lx0)), int(np.ceil(lx1)) + 1):
-        if lx0 - 1e-9 <= d <= lx1 + 1e-9:
-            x = sx(10.0**d)
-            out.append(
-                f'<line x1="{x:.2f}" y1="{_MARGIN_T + ih}" x2="{x:.2f}" '
-                f'y2="{_MARGIN_T + ih + 5}" stroke="black"/>'
-            )
-            out.append(
-                f'<text x="{x:.2f}" y="{_MARGIN_T + ih + 20}" font-size="12" '
-                f'text-anchor="middle">1e{d}</text>'
-            )
-    for d in range(int(np.floor(ly0)), int(np.ceil(ly1)) + 1):
-        if ly0 - 1e-9 <= d <= ly1 + 1e-9:
-            y = sy(10.0**d)
-            out.append(
-                f'<line x1="{_MARGIN_L - 5}" y1="{y:.2f}" x2="{_MARGIN_L}" '
-                f'y2="{y:.2f}" stroke="black"/>'
-            )
-            out.append(
-                f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" font-size="12" '
-                f'text-anchor="end">1e{d}</text>'
-            )
+    for d in x_decades:
+        x = sx(10.0**d)
+        out += [
+            f'<line x1="{x:.2f}" y1="{_MARGIN_T + ih}" x2="{x:.2f}" '
+            f'y2="{_MARGIN_T + ih + 5}" stroke="black"/>',
+            f'<text x="{x:.2f}" y="{_MARGIN_T + ih + 20}" font-size="12" '
+            f'text-anchor="middle">1e{d}</text>',
+        ]
+    for d in y_decades:
+        y = sy(10.0**d)
+        out += [
+            f'<line x1="{_MARGIN_L - 5}" y1="{y:.2f}" x2="{_MARGIN_L}" '
+            f'y2="{y:.2f}" stroke="black"/>',
+            f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" font-size="12" '
+            f'text-anchor="end">1e{d}</text>',
+        ]
     out.append(
         f'<text x="{_MARGIN_L + iw / 2:.2f}" y="{_PLOT_H - 10}" font-size="13" '
         'text-anchor="middle">iterations T</text>'
@@ -505,7 +486,9 @@ def main(argv=None) -> int:
     except (SolverError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    # malformed input (ConfigError is a ValueError) or a file that cannot be
+    # read or written
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

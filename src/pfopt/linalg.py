@@ -15,12 +15,16 @@ import numpy as np
 
 
 # Size crossover, measured on the drift matrices -Q_k that pfw produces on
-# nuclear_l1 (k x k, outside anchor, tau = 5, T = 100, two anchors; one BLAS
-# thread, 2-core Xeon).  Mean ms per call, Gram eigh against Lanczos: 1.7-1.9
-# against 2.3-2.4 at k = 100, 2.6-2.8 against 2.7-2.8 at k = 128, 4.1-4.4
-# against 3.3 at k = 160.  Lanczos pays a Python cost per step, and these
-# ill-gapped matrices take it 30-60 steps at k <= 160; eigh grows as k^3.
-_DENSE_MAX_DIM = 128
+# nuclear_l1 (k x k, outside anchor, tau = 5, T = 100, every fourth LMO call
+# of two anchors; one BLAS thread, 2-core Xeon, 20 alternating pairs).
+# Median ms per call, Gram eigh against Lanczos, anchors 0 and 1: 0.82
+# against 1.45 at k = 64, 1.79 against 1.88 at k = 100, 2.01 against 2.13 at
+# k = 112, 2.26 against 2.19 at k = 120, 2.51 against 2.06 at k = 128, 3.66
+# against 2.54 at k = 160.  On anchors 2 and 3 Lanczos wins from k = 112
+# (1.42 against 1.55) and ties at 120.  Lanczos pays a Python cost per step,
+# and these ill-gapped matrices take it 30-60 steps at k <= 160; eigh grows
+# as k^3.
+_DENSE_MAX_DIM = 112
 # Lanczos stops once the top Ritz residual ||G v - theta v|| <= tol * theta;
 # the value error is second order in it (<= 3.1e-15 at 300 x 300, T = 40).
 _LANCZOS_TOL = 1e-8
@@ -94,8 +98,12 @@ def _lanczos_top(B: np.ndarray):
 
     Each step makes one classical Gram-Schmidt pass against the whole basis.
     On pfw's 300 x 300 drift matrices that kept max |Q Q^T - I| at return
-    within 3.6e-12 (two passes: 2.0e-15).  The Ritz vector is renormalised
-    on return, so its unit norm does not rest on that orthogonality."""
+    within 3.6e-12 (two passes: 2.0e-15).  On clustered spectra, where runs
+    are longer, one pass lets it decay until the Ritz values leave the
+    spectrum and the run ends in the eigh fallback; a second pass, made on
+    the steps where the first shows that decay, prevents it.  The Ritz
+    vector is renormalised on return, so its unit norm does not rest on
+    that orthogonality."""
     n = B.shape[1]
     Q = np.empty((n, n))  # row j is the j-th Lanczos vector
     T = np.zeros((n, n))  # the tridiagonal projection of B.T @ B onto them
@@ -107,7 +115,14 @@ def _lanczos_top(B: np.ndarray):
         T[k, k] = q @ w
         scale = max(scale, T[k, k])
         basis = Q[: k + 1]
-        w -= (basis @ w) @ basis
+        h = basis @ w
+        w -= h @ basis
+        # w's coefficients on all but the last two vectors vanish in exact
+        # arithmetic; past the tolerance the basis is losing its
+        # orthogonality, and a second pass restores it
+        stale = h[:-2]
+        if stale.dot(stale) > (_LANCZOS_TOL * scale) ** 2:
+            w -= (basis @ w) @ basis
         beta = math.sqrt(w.dot(w))
         if beta <= _LANCZOS_TOL * scale:
             return None

@@ -251,6 +251,7 @@ CLI_CONFIG = dict(
     experiment="hypercube_l1", n=6, sigma_list=[0.0], T_list=[50], seeds=[1],
     algorithms=["pfw"],
 )
+CSV_ROW = "hypercube_l1,pfw,10,0,0.0,100,1,1.25,0.5,2.0"
 
 
 class TestCli:
@@ -347,19 +348,33 @@ class TestCli:
             ("run", json.dumps(dict(CLI_CONFIG, seeds=[1.0])), "seeds"),
             ("run", json.dumps(dict(CLI_CONFIG, seeds=[None])), "seeds"),
             ("run", "[1, 2]", "JSON object"),
+            ("run_into_file", json.dumps(CLI_CONFIG), "File exists"),
+            ("plot", None, "No such file"),
             ("plot", CSV_HEADER + "\nhypercube_l1,pfw,10\n", "line 2"),
+            ("plot", f"{CSV_HEADER}\n{CSV_ROW}\n{CSV_ROW.replace(',100,', ',0,')}\n",
+             "line 3: T has"),
+            ("plot", f"{CSV_HEADER}\n{CSV_ROW.replace(',1.25,', ',nan,')}\n",
+             "line 2: f_xbar has"),
+            ("plot", f"{CSV_HEADER}\n{CSV_ROW.replace(',10,', ',abc,')}\n",
+             "line 2: n has"),
         ],
         ids=["n_str", "T_float", "sigma_scalar", "algorithms_str",
              "output_dir_int", "gamma_nan", "sigma_nan", "tau_inf", "seeds_negative",
              "seeds_bool", "seeds_float", "seeds_none", "top_level_list",
-             "short_csv_row"],
+             "output_dir_is_file", "missing_csv", "short_csv_row", "csv_T_zero",
+             "csv_f_xbar_nan", "csv_n_str"],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, text, names):
+        # text None leaves the input file absent; run_into_file names the
+        # config file itself as the output directory
         path = tmp_path / "input"
-        path.write_text(text)
-        argv = [command, str(path)]
-        if command == "plot":
-            argv.append(str(tmp_path / "out.svg"))
+        if text is not None:
+            path.write_text(text)
+        argv = {
+            "run": ["run", str(path)],
+            "run_into_file": ["run", str(path), "--output-dir", str(path)],
+            "plot": ["plot", str(path), str(tmp_path / "out.svg")],
+        }[command]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and names in err

@@ -75,6 +75,42 @@ class TestTopSingularTriplet:
         assert abs(np.linalg.norm(t.u1) - 1.0) <= 1e-14
         assert abs(np.linalg.norm(t.v1) - 1.0) <= 1e-14
 
+    def test_basis_stays_orthogonal_on_a_clustered_spectrum(self, monkeypatch):
+        # sigma1 = 1 above 189 values in [0.95, 0.999] and 10 well-separated
+        # ones down to 0.01: Lanczos needs about 60 steps, and the bottom
+        # Ritz values converge long before the top one.  Projected onto an
+        # orthonormal basis, every stop test's Ritz values interlace the Gram
+        # spectrum; a basis that loses its orthogonality breaks that with
+        # spurious copies of converged Ritz values (or, with one
+        # Gram-Schmidt pass alone, Ritz values far outside the spectrum)
+        n = 200
+        rng = np.random.default_rng(0)
+        s = np.concatenate([[1.0], np.sort(rng.uniform(0.95, 0.999, n - 11))[::-1],
+                            np.linspace(0.5, 0.01, 10)])
+        rng = np.random.default_rng(3)
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        A = (U * s) @ V.T
+        gram = np.sort(s**2)
+        tridiagonals = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            tridiagonals.append(np.array(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        v = _lanczos_top(A)
+        monkeypatch.undo()
+        assert v is not None
+        assert abs(np.linalg.norm(A @ v) - 1.0) <= 1e-12
+        assert tridiagonals
+        for T in tridiagonals:
+            theta = np.linalg.eigvalsh(T)
+            k = theta.size
+            assert np.all(theta <= gram[n - k:] + 1e-10)
+            assert np.all(theta >= gram[:k] - 1e-10)
+
     def test_zero_matrix_is_degenerate(self):
         # dense path, then Lanczos path (wide, so u1 and v1 trade places)
         for shape in [(3, 4), (_DENSE_MAX_DIM + 1, _DENSE_MAX_DIM + 2)]:
