@@ -15,7 +15,10 @@ from .core import (
     SolverError,
     StochasticOracle,
     UnsupportedSetError,
+    _POSITIVE,
+    _POSITIVE_INT,
     _as_flat,
+    _check,
 )
 
 _MAGNITUDE_GUARD = 1e12
@@ -29,10 +32,8 @@ class GradientStep:
     horizon: int
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        _check(_POSITIVE, beta=self.beta)
+        _check(_POSITIVE_INT, horizon=self.horizon)
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class IterateLog:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Result of one solver run: averaged iterate, its value, the parameters.
+    """Result of one solver run: the averaged iterate and its value.
 
     Per-iteration history lives in ``iterates``, which is None unless the
     run was asked for it with ``record_iterates=True``.
@@ -67,7 +68,6 @@ class RunTrace:
 
     xbar: np.ndarray
     f_xbar: float
-    params: object
     iterates: Optional[IterateLog] = None
 
 
@@ -167,12 +167,7 @@ def _solve(
                 log.qs[k - 1] = Q
                 log.gs[k - 1] = g
     xbar = sum_x / (n_steps + 1)
-    return RunTrace(
-        xbar=xbar,
-        f_xbar=float(objective_value(xbar)),
-        params=params,
-        iterates=log,
-    )
+    return RunTrace(xbar=xbar, f_xbar=float(objective_value(xbar)), iterates=log)
 
 
 def pfw_run(

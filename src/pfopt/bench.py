@@ -7,7 +7,6 @@ import argparse
 import itertools
 import json
 import math
-import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -21,6 +20,7 @@ import numpy as np
 # patches all four solver names on this module.
 from .algorithms import pfw_run, pfw_run_stochastic, pgd_run, sgd_run  # noqa: F401
 from .core import Objective, SolverError, params_stochastic
+from .core import _NONNEGATIVE, _NONNEGATIVE_INT, _POSITIVE_INT, _check, _is_int, _is_real
 from .linalg import nuclear_norm
 from .objectives import (
     GaussianNoiseSpec,
@@ -49,35 +49,28 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+def _each(rule):
+    """The rule of a list field: a nonempty list whose every entry meets rule."""
+    ok, what = rule
+    return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v)),
+            f"a nonempty list whose every entry is {what}")
 
 
-def _is_real(v) -> bool:
-    # finite too: json.loads reads NaN and Infinity, which no setting takes
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < math.inf
-
-
-def _each(ok):
-    """The rule of a list field: a nonempty list whose every entry passes ok."""
-    return lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v))
-
-
-# The one rule each field's value must meet, and its wording for the error.
-# Configs arrive as JSON, so every rule checks the type before the range.
+# The one rule each field's value must meet, and its wording for the error;
+# the numeric rules are the library's own.  Configs arrive as JSON, so every
+# rule checks the type before the range.
 _FIELD_RULES = {
     "experiment": (lambda v: v in EXPERIMENTS, f"one of {EXPERIMENTS}"),
-    "n": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "n": _POSITIVE_INT,
     "m": (_is_int, "an integer"),
     "tau": (_is_real, "a finite number"),
     "gamma": (_is_real, "a finite number"),
     "omega_mode": (lambda v: v in ("inside", "outside"), "'inside' or 'outside'"),
     "output_dir": (lambda v: isinstance(v, str), "a string"),
-    "sigma_list": (_each(lambda v: _is_real(v) and v >= 0),
-                   "a nonempty list of finite numbers >= 0"),
-    "T_list": (_each(lambda v: _is_int(v) and v >= 1), "a nonempty list of integers >= 1"),
-    "seeds": (_each(lambda v: _is_int(v) and v >= 0), "a nonempty list of integers >= 0"),
-    "algorithms": (_each(lambda v: v in ALGORITHMS), f"a nonempty list from {ALGORITHMS}"),
+    "sigma_list": _each(_NONNEGATIVE),
+    "T_list": _each(_POSITIVE_INT),
+    "seeds": _each(_NONNEGATIVE_INT),
+    "algorithms": _each((lambda v: v in ALGORITHMS, f"one of {ALGORITHMS}")),
 }
 
 
@@ -96,10 +89,8 @@ class ExperimentConfig:
     gamma: float = 10.0
 
     def validate(self):
-        for name, (ok, what) in _FIELD_RULES.items():
-            value = getattr(self, name)
-            if not ok(value):
-                raise ConfigError(f"{name} has an invalid value: {value!r} (must be {what})")
+        for name, rule in _FIELD_RULES.items():
+            _check(rule, ConfigError, **{name: getattr(self, name)})
         # the rules that tie fields together
         if self.T_list != sorted(set(self.T_list)):
             raise ConfigError("T_list must be strictly increasing")

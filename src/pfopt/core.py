@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -25,11 +26,31 @@ class SolverError(RuntimeError):
         self.iteration = iteration
 
 
-def _check_seed(seed) -> None:
-    # numpy would reject a bad seed only at the first draw, naming no field;
-    # bool is Integral, but True is no seed
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def _is_int(v) -> bool:
+    # bool is Integral, but True is no count
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    # finite too: json.loads reads NaN and Infinity, which no constant takes
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < math.inf
+
+
+# The argument rules, each a test with its wording for the error.  A seed
+# meets _NONNEGATIVE_INT where it is taken: numpy would reject a bad seed
+# only at the first draw, naming no field.
+_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_NONNEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+_POSITIVE = (lambda v: _is_real(v) and v > 0, "a finite number > 0")
+_NONNEGATIVE = (lambda v: _is_real(v) and v >= 0, "a finite number >= 0")
+
+
+def _check(rule, error=ValueError, /, **values) -> None:
+    """Raise error naming the first of the keyword arguments that fails rule."""
+    ok, what = rule
+    for name, value in values.items():
+        if not ok(value):
+            raise error(f"{name} has an invalid value: {value!r} (must be {what})")
 
 
 def _as_flat(x) -> np.ndarray:
@@ -73,8 +94,7 @@ class Objective:
     lipschitz: float
 
     def __post_init__(self):
-        if not self.lipschitz > 0:
-            raise ValueError("lipschitz bound must be positive")
+        _check(_POSITIVE, lipschitz=self.lipschitz)
 
 
 @dataclass(frozen=True)
@@ -92,11 +112,12 @@ class StochasticOracle:
     seed: int
 
     def __post_init__(self):
+        _check(_POSITIVE, second_moment=self.second_moment)
         if self.second_moment < self.base.lipschitz:
             raise ValueError(
                 "second-moment bound must dominate the Lipschitz bound"
             )
-        _check_seed(self.seed)
+        _check(_NONNEGATIVE_INT, seed=self.seed)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -111,18 +132,14 @@ class PfwParams:
     horizon: int
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.eta > 0):
-            raise ValueError("alpha and eta must be positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        _check(_POSITIVE, alpha=self.alpha, eta=self.eta)
+        _check(_POSITIVE_INT, horizon=self.horizon)
 
 
 def params_deterministic(G: float, R: float, T: int) -> PfwParams:
-    """Schedule for exact subgradients: alpha = G*sqrt(T)/R, eta = G/(2*R*sqrt(T))."""
-    if not (G > 0 and R > 0 and T >= 1):
-        raise ValueError("G, R must be positive and T >= 1")
-    rt = np.sqrt(T)
-    return PfwParams(alpha=G * rt / R, eta=G / (2.0 * R * rt), horizon=T)
+    """Schedule for exact subgradients: alpha = G*sqrt(T)/R, eta = G/(2*R*sqrt(T)),
+    the noisy schedule at B = G."""
+    return params_stochastic(G, G, R, T)
 
 
 def params_stochastic(
@@ -133,8 +150,8 @@ def params_stochastic(
     mode "with_G":  alpha = B*sqrt(T)/R, eta = G/(2*R*sqrt(T))
     mode "B_only":  alpha = B*sqrt(T)/R, eta = 2*B/(R*sqrt(T))
     """
-    if not (G > 0 and R > 0 and T >= 1):
-        raise ValueError("G, R must be positive and T >= 1")
+    _check(_POSITIVE, G=G, B=B, R=R)
+    _check(_POSITIVE_INT, T=T)
     if B < G:
         raise ValueError("second-moment bound B must satisfy B >= G")
     rt = np.sqrt(T)

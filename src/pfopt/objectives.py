@@ -8,7 +8,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import DimensionError, Objective, StochasticOracle, _as_flat, _check_seed
+from .core import DimensionError, Objective, StochasticOracle, _as_flat
+from .core import _NONNEGATIVE, _NONNEGATIVE_INT, _check
 
 
 def l1_distance(omega) -> Objective:
@@ -50,9 +51,8 @@ class GaussianNoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        _check_seed(self.seed)
+        _check(_NONNEGATIVE, sigma=self.sigma)
+        _check(_NONNEGATIVE_INT, seed=self.seed)
 
 
 def gaussian_oracle(base: Objective, spec: GaussianNoiseSpec, dim: int) -> StochasticOracle:
@@ -99,8 +99,7 @@ class PenaltySpec:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        _check(_NONNEGATIVE, gamma=self.gamma)
         object.__setattr__(
             self,
             "constraints",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DimensionError, FeasibleSet, _as_flat
+from .core import DimensionError, FeasibleSet, _POSITIVE, _POSITIVE_INT, _as_flat, _check
 from .linalg import gram_eigh, nuclear_norm, top_singular_triplet
 from .linalg import full_svd  # noqa: F401  (perfbench/layers.py times sets.full_svd)
 
@@ -17,8 +17,7 @@ class Hypercube(FeasibleSet):
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
+        _check(_POSITIVE_INT, n=n)
         self.n = n
         self.center = np.zeros(n)
         self.radius = 2.0 * np.sqrt(n)
@@ -50,10 +49,8 @@ class NuclearBall(FeasibleSet):
     """
 
     def __init__(self, m: int, n: int, tau: float):
-        if m < 1 or n < 1:
-            raise ValueError("matrix dimensions must be >= 1")
-        if not tau > 0:
-            raise ValueError("tau must be positive")
+        _check(_POSITIVE_INT, m=m, n=n)
+        _check(_POSITIVE, tau=tau)
         self.m, self.n, self.tau = m, n, float(tau)
         self.center = np.zeros(m * n)
         self.radius = float(tau)
@@ -117,21 +114,16 @@ class NuclearBall(FeasibleSet):
 
 
 def _waterfill_level(s: np.ndarray, tau: float) -> float:
-    """Exact lambda >= 0 with sum(max(0, s_i - lambda)) = tau.
+    """Exact lambda > 0 with sum(max(0, s_i - lambda)) = tau; needs s.sum() > tau.
 
-    Solved in closed form on the active prefix of the sorted values; no
+    Closed form on the sorted values: the level that keeps the i largest is
+    (their sum - tau) / i, and the answer is the level at the last i whose
+    i-th largest value lies above it; i = 1 always does, as tau > 0.  No
     bisection, so no extra tolerance enters downstream checks.
     """
     s = np.sort(s)[::-1]
-    prefix = np.cumsum(s)
-    for i in range(1, s.size + 1):
-        lam = (prefix[i - 1] - tau) / i
-        upper = s[i - 1]
-        lower = s[i] if i < s.size else 0.0
-        if lower <= lam <= upper:
-            return max(0.0, lam)
-    # total mass below tau: caller should have returned the input unchanged
-    return 0.0
+    levels = (np.cumsum(s) - tau) / np.arange(1, s.size + 1)
+    return levels[np.flatnonzero(s > levels)[-1]]
 
 
 class VertexPolytope(FeasibleSet):

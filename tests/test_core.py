@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 
 from pfopt import (
+    GaussianNoiseSpec,
+    GradientStep,
+    Hypercube,
+    NuclearBall,
     Objective,
+    PenaltySpec,
+    PfwParams,
     StochasticOracle,
+    l1_distance,
     params_deterministic,
     params_stochastic,
+    pgd_run,
 )
 
 
@@ -110,3 +118,60 @@ class TestOracleHandles:
     def test_objective_rejects_nonpositive_lipschitz(self):
         with pytest.raises(ValueError):
             _dummy_objective(G=0.0)
+
+
+def _oracle(second_moment=1.0, seed=0):
+    base = _dummy_objective()
+    return StochasticOracle(
+        base=base, noisy_subgrad=lambda x, rng: base.subgrad(x),
+        second_moment=second_moment, seed=seed,
+    )
+
+
+def _pgd(T):
+    fs = Hypercube(2)
+    return pgd_run(l1_distance(np.zeros(2)), fs, 0.1, T, fs.center)
+
+
+_BAD_COUNT = [True, 2.5, 0]
+_BAD_SEED = [True, 2.5, -1]
+_BAD_POSITIVE = [True, 0.0, -1.0, float("nan"), float("inf")]
+_BAD_NONNEGATIVE = [True, -1.0, float("nan"), float("inf")]
+
+# (constructor, the argument it names, a call with that argument set to v,
+# the values it must reject)
+_ARGUMENT_CASES = [
+    ("PfwParams", "alpha", lambda v: PfwParams(v, 1.0, 10), _BAD_POSITIVE),
+    ("PfwParams", "eta", lambda v: PfwParams(1.0, v, 10), _BAD_POSITIVE),
+    ("PfwParams", "horizon", lambda v: PfwParams(1.0, 1.0, v), _BAD_COUNT),
+    ("GradientStep", "beta", lambda v: GradientStep(v, 10), _BAD_POSITIVE),
+    ("GradientStep", "horizon", lambda v: GradientStep(0.1, v), _BAD_COUNT),
+    ("pgd_run", "horizon", _pgd, _BAD_COUNT),
+    ("Objective", "lipschitz", _dummy_objective, _BAD_POSITIVE),
+    ("StochasticOracle", "second_moment", lambda v: _oracle(second_moment=v), _BAD_POSITIVE),
+    ("StochasticOracle", "seed", lambda v: _oracle(seed=v), _BAD_SEED),
+    ("params_deterministic", "G", lambda v: params_deterministic(v, 1.0, 10), _BAD_POSITIVE),
+    ("params_deterministic", "R", lambda v: params_deterministic(1.0, v, 10), _BAD_POSITIVE),
+    ("params_deterministic", "T", lambda v: params_deterministic(1.0, 1.0, v), _BAD_COUNT),
+    ("params_stochastic", "G", lambda v: params_stochastic(v, 2.0, 1.0, 10), _BAD_POSITIVE),
+    ("params_stochastic", "B", lambda v: params_stochastic(1.0, v, 1.0, 10), _BAD_POSITIVE),
+    ("params_stochastic", "R", lambda v: params_stochastic(1.0, 2.0, v, 10), _BAD_POSITIVE),
+    ("params_stochastic", "T", lambda v: params_stochastic(1.0, 2.0, 1.0, v), _BAD_COUNT),
+    ("GaussianNoiseSpec", "sigma", lambda v: GaussianNoiseSpec(v, 0), _BAD_NONNEGATIVE),
+    ("GaussianNoiseSpec", "seed", lambda v: GaussianNoiseSpec(0.5, v), _BAD_SEED),
+    ("PenaltySpec", "gamma", lambda v: PenaltySpec([], v), _BAD_NONNEGATIVE),
+    ("Hypercube", "n", Hypercube, _BAD_COUNT),
+    ("NuclearBall", "m", lambda v: NuclearBall(v, 2, 1.0), _BAD_COUNT),
+    ("NuclearBall", "n", lambda v: NuclearBall(2, v, 1.0), _BAD_COUNT),
+    ("NuclearBall", "tau", lambda v: NuclearBall(2, 2, v), _BAD_POSITIVE),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build, value",
+    [pytest.param(name, build, v, id=f"{owner}-{name}-{v!r}")
+     for owner, name, build, values in _ARGUMENT_CASES for v in values],
+)
+def test_constructor_rejects_bad_argument(name, build, value):
+    with pytest.raises(ValueError, match=f"^{name} has an invalid value: "):
+        build(value)

@@ -231,6 +231,15 @@ class TestPenalty:
             g = obj.subgrad(rng.standard_normal(3) * 3)
             assert np.linalg.norm(g) <= obj.lipschitz + 1e-10
 
+    def test_no_constraints_is_base(self):
+        base = l1_distance(np.array([0.5, -2.0, 1.0]))
+        obj = penalized_objective(base, PenaltySpec(constraints=[], gamma=3.0))
+        for x in ([0.5, -2.0, 1.0], [3.0, 0.0, -1.0], [-1.0, 4.0, 2.0]):
+            x = np.array(x)
+            assert obj.value(x) == base.value(x)
+            assert np.array_equal(obj.subgrad(x), base.subgrad(x))
+        assert obj.lipschitz == base.lipschitz
+
     def test_zero_gamma_is_base(self):
         base = l1_distance(np.zeros(2))
         spec = PenaltySpec(constraints=[(np.array([1.0, 1.0]), -5.0)], gamma=0.0)

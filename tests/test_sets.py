@@ -251,8 +251,16 @@ class TestNuclearProjection:
                 X = random_feasible_nuclear(rng, m, n, tau)
                 assert np.sum((A - P) * (X - P)) <= 1e-8
 
+    def test_level_on_tied_singular_values(self):
+        # the level is exactly the tied 0.1, where the scan answered 0 and
+        # the input came back unprojected
+        ball = NuclearBall(4, 4, 1.2)
+        out = ball.project(np.diag([0.7, 0.7, 0.1, 0.1]).ravel()).reshape(4, 4)
+        assert np.allclose(out, np.diag([0.6, 0.6, 0.0, 0.0]), atol=1e-12)
+        assert nuclear_norm(out) == pytest.approx(1.2, abs=1e-12)
+
     @pytest.mark.parametrize("m, n", [(129, 140), (300, 200), (200, 300)])
-    def test_matches_svd_reference_above_the_crossover(self, m, n):
+    def test_matches_svd_reference(self, m, n):
         tau = 5.0
         ball = NuclearBall(m, n, tau)
         rng = np.random.default_rng(m + 2 * n)
@@ -282,6 +290,53 @@ class TestNuclearProjection:
             A = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
             A *= tau * (1 - 1e-8) / nuclear_norm(A)
             assert np.array_equal(ball.project(A.ravel()), A.ravel())
+
+
+def waterfill_scan(s, tau):
+    """The water-filling level by the scan that the closed form replaced: the
+    first active prefix whose level lies between its last value and the next.
+    Where the level lands exactly on a run of tied values, rounding can put
+    every prefix's level outside its bracket, and the scan answers 0."""
+    s = np.sort(s)[::-1]
+    prefix = np.cumsum(s)
+    for i in range(1, s.size + 1):
+        lam = (prefix[i - 1] - tau) / i
+        upper = s[i - 1]
+        lower = s[i] if i < s.size else 0.0
+        if lower <= lam <= upper:
+            return max(0.0, lam)
+    return 0.0
+
+
+class TestWaterfillLevel:
+    def test_equals_the_scan_on_random_spectra(self):
+        rng = np.random.default_rng(30)
+        for _ in range(3000):
+            s = rng.uniform(size=rng.integers(1, 60)) * 10.0 ** rng.uniform(-3, 3)
+            tau = s.sum() * rng.uniform(0.001, 0.999)
+            assert _waterfill_level(s, tau) == waterfill_scan(s, tau)
+
+    def test_equals_the_scan_on_tied_spectra(self):
+        # few distinct values, some zero
+        rng = np.random.default_rng(31)
+        for _ in range(3000):
+            s = rng.integers(0, 5, size=rng.integers(1, 40)) * rng.choice([1.0, 0.1, 0.3])
+            if s.any():
+                tau = s.sum() * rng.uniform(0.001, 0.999)
+                assert _waterfill_level(s, tau) == waterfill_scan(s, tau)
+
+    def test_level_on_a_tied_value(self):
+        # tau puts the exact level on a positive tied value v, where the scan
+        # is no reference; the closed form stays within the rounding of the
+        # prefix sums
+        rng = np.random.default_rng(32)
+        for _ in range(3000):
+            s = rng.integers(0, 6, size=rng.integers(2, 300)) * rng.choice([1.0, 0.1, 0.3])
+            levels = s[(s > 0) & (s < s.max())]
+            if levels.size:
+                v = rng.choice(levels)
+                lam = _waterfill_level(s, np.maximum(s - v, 0.0).sum())
+                assert abs(lam - v) <= s.size * np.finfo(float).eps * s.sum()
 
 
 class TestNuclearContains:
