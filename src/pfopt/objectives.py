@@ -9,7 +9,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core import DimensionError, Objective, StochasticOracle, _as_flat
-from .core import _NONNEGATIVE, _NONNEGATIVE_INT, _check
+from .core import _NONNEGATIVE, _NONNEGATIVE_INT, _POSITIVE_INT, _check
 
 
 def l1_distance(omega) -> Objective:
@@ -57,7 +57,7 @@ class GaussianNoiseSpec:
 
 def gaussian_oracle(base: Objective, spec: GaussianNoiseSpec, dim: int) -> StochasticOracle:
     """Wrap an exact oracle with iid Gaussian noise on every subgradient call."""
-
+    _check(_POSITIVE_INT, dim=dim)
     sigma = spec.sigma
 
     def noisy_subgrad(x, rng):
@@ -69,7 +69,10 @@ def gaussian_oracle(base: Objective, spec: GaussianNoiseSpec, dim: int) -> Stoch
             return g
         return g + rng.standard_normal(dim) * sigma
 
-    B = float(np.sqrt(base.lipschitz**2 + dim * spec.sigma**2))
+    try:
+        B = float(np.sqrt(base.lipschitz**2 + dim * spec.sigma**2))
+    except OverflowError:  # a float's ** raises where * gives inf
+        B = np.inf  # which StochasticOracle rejects, naming second_moment
     return StochasticOracle(
         base=base, noisy_subgrad=noisy_subgrad, second_moment=B, seed=spec.seed
     )
@@ -81,6 +84,7 @@ def lipschitz_extend(f_values, G: float, candidates: Sequence, w) -> float:
     Upper-bounds the true extension inf over the whole set; exact at
     candidate points and exact in the limit under candidate refinement.
     """
+    _check(_NONNEGATIVE, G=G)
     if len(candidates) == 0:
         raise ValueError("candidate list must be nonempty")
     cand = np.array([_as_flat(c) for c in candidates], dtype=float)

@@ -343,6 +343,9 @@ class TestCli:
             ("run", json.dumps(dict(CLI_CONFIG, sigma_list=[float("nan")])),
              "sigma_list"),
             ("run", json.dumps(dict(CLI_CONFIG, tau=float("inf"))), "tau"),
+            # valid, but sigma^2 overflows: the implied bound B is inf
+            ("run", json.dumps(dict(CLI_CONFIG, sigma_list=[1e200])),
+             "second_moment has an invalid value: inf"),
             ("run", json.dumps(dict(CLI_CONFIG, seeds=[1, -1])), "seeds"),
             ("run", json.dumps(dict(CLI_CONFIG, seeds=[True])), "seeds"),
             ("run", json.dumps(dict(CLI_CONFIG, seeds=[1.0])), "seeds"),
@@ -359,7 +362,8 @@ class TestCli:
              "line 2: n has"),
         ],
         ids=["n_str", "T_float", "sigma_scalar", "algorithms_str",
-             "output_dir_int", "gamma_nan", "sigma_nan", "tau_inf", "seeds_negative",
+             "output_dir_int", "gamma_nan", "sigma_nan", "tau_inf", "sigma_overflow",
+             "seeds_negative",
              "seeds_bool", "seeds_float", "seeds_none", "top_level_list",
              "output_dir_is_file", "missing_csv", "short_csv_row", "csv_T_zero",
              "csv_f_xbar_nan", "csv_n_str"],
@@ -378,6 +382,7 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and names in err
+        assert "Traceback" not in err
 
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2

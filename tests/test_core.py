@@ -10,7 +10,9 @@ from pfopt import (
     PenaltySpec,
     PfwParams,
     StochasticOracle,
+    gaussian_oracle,
     l1_distance,
+    lipschitz_extend,
     params_deterministic,
     params_stochastic,
     pgd_run,
@@ -164,6 +166,10 @@ _ARGUMENT_CASES = [
     ("NuclearBall", "m", lambda v: NuclearBall(v, 2, 1.0), _BAD_COUNT),
     ("NuclearBall", "n", lambda v: NuclearBall(2, v, 1.0), _BAD_COUNT),
     ("NuclearBall", "tau", lambda v: NuclearBall(2, 2, v), _BAD_POSITIVE),
+    ("gaussian_oracle", "dim",
+     lambda v: gaussian_oracle(_dummy_objective(), GaussianNoiseSpec(0.5, 0), v), _BAD_COUNT),
+    ("lipschitz_extend", "G",
+     lambda v: lipschitz_extend(lambda x: 0.0, v, [np.zeros(2)], np.ones(2)), _BAD_NONNEGATIVE),
 ]
 
 

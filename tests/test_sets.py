@@ -169,12 +169,14 @@ class TestNuclearLmo:
         assert np.dot(blind_start_matrix.ravel(), out) == pytest.approx(-15.0, abs=1e-8)
 
     @pytest.mark.parametrize(
-        "k, T", [(20, 300), (257, 40), (_DENSE_MAX_DIM + 1, 100)]
+        "k, T", [(20, 300), (257, 40), (_DENSE_MAX_DIM + 1, 100), (160, 200)]
     )
     def test_value_accurate_on_solver_drift(self, k, T):
         # the drift matrices pfw steers by are ill-gapped, unlike Gaussian
         # ones, and more so as T grows; criterion 5's instance on each side
-        # of the size crossover
+        # of the size crossover, and at k = 160, T = 200 Lanczos runs past
+        # step 32 on 184 of 198 calls (median 47 steps), where the stop
+        # test's spacing has grown past 4
         tau = 5.0
         ball = NuclearBall(k, k, tau)
         W = np.random.default_rng(55).standard_normal((k, k))
