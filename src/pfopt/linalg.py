@@ -2,7 +2,8 @@
 decomposition, nuclear norm.
 
 ``top_singular_triplet`` solves for the top eigenvector of the smaller Gram
-matrix: by ``eigh`` up to ``_DENSE_MAX_DIM`` columns, by Lanczos above it."""
+matrix: by ``eigh`` up to ``_DENSE_MAX_DIM`` columns, by Lanczos above it.
+"""
 
 from __future__ import annotations
 
@@ -25,8 +26,12 @@ import numpy as np
 # as k^3.
 _DENSE_MAX_DIM = 112
 # Lanczos stops once the top Ritz residual ||G v - theta v|| <= tol * theta;
-# the value error is second order in it (<= 3.6e-15 at 300 x 300, T = 40).
+# the value error is second order in it (<= 3.1e-15 at 300 x 300, T = 40).
 _LANCZOS_TOL = 1e-8
+# The stop test's eigh of the k x k tridiagonal outgrows one Lanczos step
+# (44 against 15 us at k = 48, n = 160); run every fourth step, calls on
+# 160 x 160 drift matrices fell 2.8 -> 1.3 ms (one BLAS thread, 2 cores).
+_LANCZOS_CHECK_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -91,25 +96,24 @@ def _lanczos_top(B: np.ndarray):
     turns invariant or nears full dimension first: the start may lack the top
     direction, so theta_max need not be sigma1^2.
 
-    Each step makes one classical Gram-Schmidt pass against the whole basis
-    (max |Q Q^T - I| <= 3.6e-12 on pfw's 300 x 300 drift matrices), and a
-    second where the first shows it decaying, as on clustered spectra.
-
-    The stop test, an eigh of the k x k tridiagonal, runs after steps 4, 8,
-    12, 16 and 20, then whenever k has grown by a quarter, so it costs about
-    twice its last run in all.  On those drift matrices at T = 40, 200 and
-    1000, calls took 1.04, 4.2, 8.0 ms (every 4th step: 1.10, 4.9, 11.5)."""
+    Each step makes one classical Gram-Schmidt pass against the whole basis.
+    On pfw's 300 x 300 drift matrices that kept max |Q Q^T - I| at return
+    within 3.6e-12 (two passes: 2.0e-15).  On clustered spectra, where runs
+    are longer, one pass lets it decay until the Ritz values leave the
+    spectrum and the run ends in the eigh fallback; a second pass, made on
+    the steps where the first shows that decay, prevents it.  The Ritz
+    vector is renormalised on return, so its unit norm does not rest on
+    that orthogonality."""
     n = B.shape[1]
     Q = np.empty((n, n))  # row j is the j-th Lanczos vector
-    alphas, betas = [], []  # the tridiagonal projection of B.T @ B onto them
+    T = np.zeros((n, n))  # the tridiagonal projection of B.T @ B onto them
     q = _lanczos_start(n)
     scale = 0.0  # the largest Rayleigh quotient so far, <= sigma1^2
-    check = 4  # the step count at which the next stop test runs
     for k in range(n - 1):
         Q[k] = q
         w = B.T @ (B @ q)
-        alphas.append(q @ w)
-        scale = max(scale, alphas[-1])
+        T[k, k] = q @ w
+        scale = max(scale, T[k, k])
         basis = Q[: k + 1]
         h = basis @ w
         w -= h @ basis
@@ -122,16 +126,12 @@ def _lanczos_top(B: np.ndarray):
         beta = math.sqrt(w.dot(w))
         if beta <= _LANCZOS_TOL * scale:
             return None
-        if k + 1 == check:
-            check += max(4, check // 4)
-            T = np.zeros((k + 1, k + 1))  # T_k, built only for the stop test
-            T.flat[:: k + 2] = alphas
-            T.flat[1 :: k + 2] = T.flat[k + 1 :: k + 2] = betas
-            theta, S = np.linalg.eigh(T)
+        if k % _LANCZOS_CHECK_EVERY == _LANCZOS_CHECK_EVERY - 1:
+            theta, S = np.linalg.eigh(T[: k + 1, : k + 1])
             if beta * abs(S[-1, -1]) <= _LANCZOS_TOL * theta[-1]:
                 v = S[:, -1] @ basis
                 return v / math.sqrt(v.dot(v))
-        betas.append(beta)
+        T[k, k + 1] = T[k + 1, k] = beta
         q = w / beta
     return None
 

@@ -175,8 +175,7 @@ class TestNuclearLmo:
         # the drift matrices pfw steers by are ill-gapped, unlike Gaussian
         # ones, and more so as T grows; criterion 5's instance on each side
         # of the size crossover, and at k = 160, T = 200 Lanczos runs past
-        # step 32 on 184 of 198 calls (median 47 steps), where the stop
-        # test's spacing has grown past 4
+        # step 32 on 182 of 198 calls (median 48 steps)
         tau = 5.0
         ball = NuclearBall(k, k, tau)
         W = np.random.default_rng(55).standard_normal((k, k))
