@@ -126,19 +126,20 @@ def _projected_steps(
 
 
 def _solve(
-    rule, objective_value, get_subgrad, feasible_set: FeasibleSet, params, x1,
+    objective_value, get_subgrad, feasible_set: FeasibleSet, params, x1,
     record_iterates: bool,
 ) -> RunTrace:
-    """Run one update rule and return the average of the start and every
-    iterate it produced.
+    """Run the update rule that params select and return the average of the
+    start and every iterate it produced.
 
     The drift rule (PfwParams) runs k = 1..T-1 and averages T points; the
     projected rule (GradientStep) runs k = 1..T and averages T+1 points.
+    The start is read at the set's dimension, ``center.size``.
     """
     drift = isinstance(params, PfwParams)
     if not drift and feasible_set.project is None:
         raise UnsupportedSetError("set does not provide a projection")
-    x = _as_flat(x1).copy()
+    x = _as_flat(x1, feasible_set.center.size).copy()
     _check_start(feasible_set, x)
     n_steps = params.horizon - 1 if drift else params.horizon
     sum_x = x.copy()
@@ -150,6 +151,7 @@ def _solve(
                              gs=np.empty_like(xs))
         else:
             log = IterateLog(xs=xs, ys=xs)
+    rule = _drift_steps if drift else _projected_steps
     steps = rule(get_subgrad, feasible_set, params, x)
     for k in range(1, n_steps + 1):
         try:
@@ -183,8 +185,8 @@ def pfw_run(
     returns the average of x_1..x_T.  Never calls feasible_set.project.
     """
     return _solve(
-        _drift_steps, objective.value, objective.subgrad, feasible_set, params,
-        x1, record_iterates,
+        objective.value, objective.subgrad, feasible_set, params, x1,
+        record_iterates,
     )
 
 
@@ -202,8 +204,7 @@ def pfw_run_stochastic(
         return oracle.noisy_subgrad(y, rng)
 
     return _solve(
-        _drift_steps, oracle.base.value, get_subgrad, feasible_set, params, x1,
-        record_iterates,
+        oracle.base.value, get_subgrad, feasible_set, params, x1, record_iterates
     )
 
 
@@ -217,7 +218,7 @@ def pgd_run(
 ) -> RunTrace:
     """Projected subgradient descent baseline."""
     return _solve(
-        _projected_steps, objective.value, objective.subgrad, feasible_set,
+        objective.value, objective.subgrad, feasible_set,
         GradientStep(beta=beta, horizon=T), x0, record_iterates,
     )
 
@@ -237,6 +238,6 @@ def sgd_run(
         return oracle.noisy_subgrad(x, rng)
 
     return _solve(
-        _projected_steps, oracle.base.value, get_subgrad, feasible_set,
+        oracle.base.value, get_subgrad, feasible_set,
         GradientStep(beta=beta, horizon=T), x0, record_iterates,
     )

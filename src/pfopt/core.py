@@ -53,14 +53,23 @@ def _check(rule, error=ValueError, /, **values) -> None:
             raise error(f"{name} has an invalid value: {value!r} (must be {what})")
 
 
-def _as_flat(x) -> np.ndarray:
-    """Coerce an array-like to a flat float64 array."""
-    return np.asarray(x, dtype=float).ravel()
+def _as_flat(x, size: Optional[int] = None) -> np.ndarray:
+    """Coerce an array-like to a flat float64 array of ``size`` entries, if given.
+
+    This is the one size check for vectors: sets, objectives and solvers read
+    their vector arguments through it, so a wrong size raises one message.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if size is not None and x.size != size:
+        raise DimensionError(f"expected {size} entries, got {x.size}")
+    return x
 
 
 class FeasibleSet:
     """A convex set with an LMO, contained in a ball of radius R at `center`.
 
+    The set's points are flat vectors of ``center.size`` entries: its methods
+    and the solvers' start points are read at that size through ``_as_flat``.
     Subclasses must implement :meth:`lmo` and should implement
     :meth:`contains`, which the solvers use to reject a start point outside
     the set; a set without it (``VertexPolytope``) has its start checked

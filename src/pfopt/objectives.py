@@ -21,10 +21,7 @@ def l1_distance(omega) -> Objective:
     anchor = _as_flat(omega).copy()
 
     def _diff(x) -> np.ndarray:
-        x = _as_flat(x)
-        if x.size != anchor.size:
-            raise DimensionError(f"dimension mismatch: {x.size} vs {anchor.size}")
-        return x - anchor
+        return _as_flat(x, anchor.size) - anchor
 
     def value(x):
         return float(np.abs(_diff(x)).sum())
@@ -88,7 +85,7 @@ def lipschitz_extend(f_values, G: float, candidates: Sequence, w) -> float:
     if len(candidates) == 0:
         raise ValueError("candidate list must be nonempty")
     cand = np.array([_as_flat(c) for c in candidates], dtype=float)
-    w = _as_flat(w)
+    w = _as_flat(w, cand.shape[1])
     vals = np.array([f_values(c) for c in cand], dtype=float)
     dists = np.linalg.norm(cand - w, axis=1)
     return float(np.min(vals + G * dists))

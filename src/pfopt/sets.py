@@ -22,23 +22,17 @@ class Hypercube(FeasibleSet):
         self.center = np.zeros(n)
         self.radius = 2.0 * np.sqrt(n)
 
-    def _check(self, x) -> np.ndarray:
-        x = _as_flat(x)
-        if x.size != self.n:
-            raise DimensionError(f"expected dimension {self.n}, got {x.size}")
-        return x
-
     def lmo(self, direction) -> np.ndarray:
         # -1 where d > 0, +1 where d < 0, 0 on ties: minimizes <d, x>
-        d = self._check(direction)
+        d = _as_flat(direction, self.n)
         return -np.sign(d)
 
     def project(self, z) -> np.ndarray:
         # the method skips np.clip's Python wrapper; same call, same bits
-        return self._check(z).clip(-1.0, 1.0)
+        return _as_flat(z, self.n).clip(-1.0, 1.0)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
-        return bool(np.all(np.abs(self._check(x)) <= 1.0 + tol))
+        return bool(np.all(np.abs(_as_flat(x, self.n)) <= 1.0 + tol))
 
 
 class NuclearBall(FeasibleSet):
@@ -56,12 +50,7 @@ class NuclearBall(FeasibleSet):
         self.radius = float(tau)
 
     def _as_matrix(self, x) -> np.ndarray:
-        x = _as_flat(x)
-        if x.size != self.m * self.n:
-            raise DimensionError(
-                f"expected {self.m}x{self.n} matrix data, got length {x.size}"
-            )
-        return x.reshape(self.m, self.n)
+        return _as_flat(x, self.m * self.n).reshape(self.m, self.n)
 
     def lmo(self, direction) -> np.ndarray:
         """-tau * u1 v1^T for the top singular pair of the direction matrix.
@@ -106,7 +95,7 @@ class NuclearBall(FeasibleSet):
         A = self._as_matrix(x)
         bound = self.tau + tol
         fro = float(np.linalg.norm(A))
-        if fro > bound:
+        if not fro <= bound:  # NaN too, which the SVD below cannot take
             return False
         if np.sqrt(min(self.m, self.n)) * fro <= bound:
             return True
@@ -143,9 +132,6 @@ class VertexPolytope(FeasibleSet):
         )
 
     def lmo(self, direction) -> np.ndarray:
-        d = _as_flat(direction)
-        if d.size != self.vertices.shape[1]:
-            raise DimensionError("direction dimension mismatch")
-        scores = self.vertices @ d
+        scores = self.vertices @ _as_flat(direction, self.vertices.shape[1])
         # argmin returns the lowest index on ties, which is the documented rule
         return self.vertices[scores.argmin()].copy()

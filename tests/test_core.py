@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pfopt import (
+    DimensionError,
     GaussianNoiseSpec,
     GradientStep,
     Hypercube,
@@ -10,12 +11,16 @@ from pfopt import (
     PenaltySpec,
     PfwParams,
     StochasticOracle,
+    VertexPolytope,
     gaussian_oracle,
     l1_distance,
     lipschitz_extend,
     params_deterministic,
     params_stochastic,
+    pfw_run,
+    pfw_run_stochastic,
     pgd_run,
+    sgd_run,
 )
 
 
@@ -181,3 +186,61 @@ _ARGUMENT_CASES = [
 def test_constructor_rejects_bad_argument(name, build, value):
     with pytest.raises(ValueError, match=f"^{name} has an invalid value: "):
         build(value)
+
+
+_SETS = {
+    "Hypercube": Hypercube(3),
+    "NuclearBall": NuclearBall(2, 3, 1.0),
+    "VertexPolytope": VertexPolytope(np.eye(3)),
+}
+# every solver on every set it runs on; the projected ones need a projection
+_STARTS = [(solver, name) for solver in ("pfw", "pfw_stochastic") for name in _SETS] + [
+    (solver, name) for solver in ("pgd", "sgd") for name in ("Hypercube", "NuclearBall")
+]
+
+
+def _run(solver, fs, x1):
+    obj = l1_distance(fs.center)
+    oracle = gaussian_oracle(obj, GaussianNoiseSpec(0.5, 0), fs.center.size)
+    params = params_deterministic(obj.lipschitz, fs.radius, 3)
+    runs = {
+        "pfw": lambda: pfw_run(obj, fs, params, x1),
+        "pfw_stochastic": lambda: pfw_run_stochastic(oracle, fs, params, x1),
+        "pgd": lambda: pgd_run(obj, fs, 0.1, 3, x1),
+        "sgd": lambda: sgd_run(oracle, fs, 0.1, 3, x1),
+    }
+    return runs[solver]()
+
+
+# (case, the size k expected, a call given a vector of k - 1 entries)
+_SHAPE_CASES = [
+    (f"{name}.{op}", fs.center.size, getattr(fs, op))
+    for name, fs in _SETS.items() for op in ("lmo", "project", "contains")
+    if name != "VertexPolytope" or op == "lmo"
+] + [
+    ("l1_distance.value", 3, l1_distance(np.zeros(3)).value),
+    ("l1_distance.subgrad", 3, l1_distance(np.zeros(3)).subgrad),
+    ("lipschitz_extend.w", 3, lambda w: lipschitz_extend(lambda x: 0.0, 1.0, [np.zeros(3)], w)),
+] + [
+    (f"{solver}-{name}-start", _SETS[name].center.size,
+     lambda x1, solver=solver, fs=_SETS[name]: _run(solver, fs, x1))
+    for solver, name in _STARTS
+]
+
+
+@pytest.mark.parametrize(
+    "k, call", [pytest.param(k, call, id=case) for case, k, call in _SHAPE_CASES]
+)
+def test_vector_of_wrong_size_rejected(k, call):
+    # one rule, core._as_flat, sizes every vector argument
+    with pytest.raises(DimensionError, match=f"^expected {k} entries, got {k - 1}$"):
+        call(np.zeros(k - 1))
+
+
+@pytest.mark.parametrize("solver, name", _STARTS)
+def test_nan_start_lies_outside_the_set(solver, name):
+    fs = _SETS[name]
+    x1 = fs.center.copy()
+    x1[0] = np.nan
+    with pytest.raises(ValueError, match="outside the feasible set"):
+        _run(solver, fs, x1)

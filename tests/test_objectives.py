@@ -49,13 +49,6 @@ class TestL1Distance:
         g = obj.subgrad(np.full(9, 0.5))
         assert np.linalg.norm(g) == pytest.approx(obj.lipschitz)
 
-    def test_shape_mismatch(self):
-        obj = l1_distance(np.zeros(3))
-        with pytest.raises(DimensionError):
-            obj.value(np.zeros(4))
-        with pytest.raises(DimensionError):
-            obj.subgrad(np.zeros(4))
-
 
 class TestHypercubeOptimum:
     def test_separable_clamp(self):

@@ -1,6 +1,7 @@
 """Property tests over drawn inputs: each set's LMO is no worse than any
 feasible point, and each projection satisfies the variational inequality
-<z - P(z), x - P(z)> <= 0 on feasible x.
+<z - P(z), x - P(z)> <= 0 on feasible x.  Where a set has ``contains``, it
+holds on every LMO and projection output.
 
 Matrix shapes fall on both sides of the LMO's size crossover.  Matrices are
 generated from a drawn seed, so a 140 x 140 input costs one draw, not 19600.
@@ -58,7 +59,9 @@ def nuclear_ball_points(rng, D, tau, count=3):
 @given(d=box_vectors, v=box_points)
 def test_hypercube_lmo_beats_feasible_points(d, v):
     box = Hypercube(d.size)
-    best = d @ box.lmo(d)
+    x = box.lmo(d)
+    assert box.contains(x)
+    best = d @ x
     assert best <= d @ v + 1e-12 * (1.0 + np.abs(d).sum())
 
 
@@ -84,7 +87,9 @@ def test_nuclear_lmo_beats_feasible_points(shape, rank, seed, scale):
     ball = NuclearBall(m, n, tau)
     rng = np.random.default_rng(seed)
     D = draw_matrix(rng, m, n, rank, scale)
-    best = D.ravel() @ ball.lmo(D.ravel())
+    X_lmo = ball.lmo(D.ravel())
+    assert ball.contains(X_lmo)
+    best = D.ravel() @ X_lmo
     tol = 1e-8 * tau * np.linalg.norm(D)
     for X in nuclear_ball_points(rng, D, tau):
         assert best <= np.sum(D * X) + tol
@@ -93,8 +98,9 @@ def test_nuclear_lmo_beats_feasible_points(shape, rank, seed, scale):
 @PROPERTY
 @given(z=box_vectors, x=box_points)
 def test_hypercube_projection_variational_inequality(z, x):
-    p = Hypercube(z.size).project(z)
-    assert np.all(np.abs(p) <= 1.0)
+    box = Hypercube(z.size)
+    p = box.project(z)
+    assert np.all(np.abs(p) <= 1.0) and box.contains(p)
     assert (z - p) @ (x - p) <= 1e-12 * (1.0 + np.abs(z).sum())
 
 
@@ -108,7 +114,9 @@ def test_nuclear_projection_variational_inequality(shape, rank, seed, ratio):
     rng = np.random.default_rng(seed)
     A = draw_matrix(rng, m, n, rank, 1.0)
     A *= ratio * tau / nuclear_norm(A)
-    P = ball.project(A.ravel()).reshape(m, n)
+    P = ball.project(A.ravel())
+    assert ball.contains(P)
+    P = P.reshape(m, n)
     # tau = s_i - lambda cancels to the rounding of s_i, which grows with A
     assert nuclear_norm(P) <= tau + 1e-12 * (tau + np.linalg.norm(A))
     tol = 1e-9 * tau * (1.0 + np.linalg.norm(A))

@@ -53,10 +53,6 @@ class TestHypercubeLmo:
             assert best <= np.min(grid @ d) + 1e-12
             assert best <= np.min(vertices @ d) + 1e-12
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            Hypercube(3).lmo([1.0, 2.0])
-
     def test_radius_bookkeeping(self):
         n = 10
         box = Hypercube(n)
