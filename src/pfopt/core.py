@@ -65,6 +65,19 @@ def _as_flat(x, size: Optional[int] = None) -> np.ndarray:
     return x
 
 
+def _as_rows(vectors) -> np.ndarray:
+    """Stack a list of vectors as the rows of a float64 array.
+
+    Each is read through ``_as_flat`` at the first one's size, so a list of
+    mixed sizes raises its ``DimensionError``.  An empty list gives an empty
+    array.
+    """
+    rows = []
+    for v in vectors:
+        rows.append(_as_flat(v, rows[0].size if rows else None))
+    return np.array(rows)
+
+
 class FeasibleSet:
     """A convex set with an LMO, contained in a ball of radius R at `center`.
 

@@ -2,7 +2,10 @@
 decomposition, nuclear norm.
 
 ``top_singular_triplet`` solves for the top eigenvector of the smaller Gram
-matrix: by ``eigh`` up to ``_DENSE_MAX_DIM`` columns, by Lanczos above it.
+matrix.  Up to ``_DENSE_MAX_DIM`` columns it takes the top eigenvalue by
+``eigvalsh`` and the vector by one shifted inverse-iteration solve, certified
+by its Rayleigh quotient; above it, Lanczos.  Either hands over to a full
+``eigh`` where its result cannot be trusted.
 """
 
 from __future__ import annotations
@@ -17,14 +20,30 @@ import numpy as np
 # Size crossover, measured on the drift matrices -Q_k that pfw produces on
 # nuclear_l1 (k x k, outside anchor, tau = 5, T = 100, every fourth LMO call
 # of two anchors; one BLAS thread, 2-core Xeon, 20 alternating pairs).
-# Median ms per call, Gram eigh against Lanczos, anchors 0 and 1: 0.82
-# against 1.45 at k = 64, 1.79 against 1.88 at k = 100, 2.01 against 2.13 at
-# k = 112, 2.26 against 2.19 at k = 120, 2.51 against 2.06 at k = 128, 3.66
-# against 2.54 at k = 160.  On anchors 2 and 3 Lanczos wins from k = 112
-# (1.42 against 1.55) and ties at 120.  Lanczos pays a Python cost per step,
-# and these ill-gapped matrices take it 30-60 steps at k <= 160; eigh grows
-# as k^3.
+# Median ms per call, the dense path (eigvalsh and one solve) against
+# Lanczos, anchors 0 and 1: 0.38 against 1.35 at k = 64, 0.88 against 1.63
+# at k = 100, 0.97 against 1.52 at k = 112, 1.48 against 2.14 at k = 128,
+# 2.05 against 2.16 at k = 160 (dense faster in 13 of 20 pairs), 3.58
+# against 2.96 at k = 192.  Anchors 2 and 3 agree: 0.93 against 1.64 at
+# k = 112, 2.11 against 2.48 at k = 160, 3.15 against 2.69 at k = 192.  So
+# the crossover lies between 160 and 192.  The value stays at 112: no
+# benchmark workload runs between 20 and 300 to judge a move, and CI's
+# 120 x 120 config is there to run Lanczos.  Lanczos pays a Python cost per
+# step, and these ill-gapped matrices take it 30-60 steps at k <= 160;
+# eigvalsh grows as k^3.
 _DENSE_MAX_DIM = 112
+# The dense path's shift, theta (1 + 2^-50), lies 4-8 ulps above theta: off
+# the float eigvalsh returned, so the shifted matrix is not singular when
+# theta is exact, and within rounding of the top eigenvalue, so one solve
+# grows the top direction about gap / (2^-50 theta) times more than the
+# rest, gap the distance to the next eigenvalue (Parlett, The Symmetric
+# Eigenvalue Problem, ch. 4).
+_SHIFT = 2.0**-50
+# The dense path's certificate, ||B v||^2 >= theta (1 - 1e-13), holds s1
+# within 5e-14 of sqrt(theta), relative.  Accepted vectors fall short of
+# theta by rounding only: at most 1.8e-15 on pfw's 20 x 20 drift matrices
+# and 7.9e-15 on clustered, decaying and degenerate spectra at k <= 100.
+_CERTIFY = 1e-13
 # Lanczos stops once the top Ritz residual ||G v - theta v|| <= tol * theta;
 # the value error is second order in it (<= 3.1e-15 at 300 x 300, T = 40).
 _LANCZOS_TOL = 1e-8
@@ -48,11 +67,14 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
 
     With ``B`` the one of ``A`` and ``A.T`` with fewer columns and ``v`` the
     top eigenvector of ``B.T @ B``: ``s1 = ||B v||`` and ``u = B v / s1``, so
-    ``s1 <= sigma1`` and ``<A, u1 v1^T> = s1`` to rounding.  The Lanczos path
-    renormalises its Ritz vector ``v``, so ``||v1|| = 1`` and ``s1 <= sigma1``
-    hold however far its basis's orthogonality has drifted.  A zero matrix
-    gives ``s1 = 0`` with unit vectors.  Deterministic.  Raises ValueError on
-    non-finite input; a LAPACK failure surfaces as LinAlgError.
+    ``s1 <= sigma1`` and ``<A, u1 v1^T> = s1`` to rounding.  The dense path
+    keeps its solve's ``v`` only where ``s1^2`` comes within 1e-13 of the
+    top eigenvalue, relative, and takes ``eigh``'s otherwise.  The Lanczos
+    path renormalises its Ritz vector ``v``, so ``||v1|| = 1`` and
+    ``s1 <= sigma1`` hold however far its basis's orthogonality has drifted.
+    A zero matrix gives ``s1 = 0`` with unit vectors.  Deterministic.  Raises
+    ValueError on non-finite input; a LAPACK failure surfaces as
+    LinAlgError.
     """
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
@@ -60,7 +82,7 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
     B = _narrow(A)
     v = _lanczos_top(B) if B.shape[1] > _DENSE_MAX_DIM else None
     if v is None:
-        v = gram_eigh(B)[1][:, -1]
+        v = _dense_top(B)
     u = B @ v
     s = math.sqrt(u.dot(u))
     u = u / s if s > 0.0 else np.full(u.size, u.size**-0.5)
@@ -81,10 +103,38 @@ def gram_eigh(A: np.ndarray):
     return B, np.linalg.eigh(B.T @ B)[1]
 
 
+def _dense_top(B: np.ndarray) -> np.ndarray:
+    """Top eigenvector of ``G = B.T @ B``: its eigenvalue theta by
+    ``eigvalsh``, then one solve of ``(G - theta (1 + _SHIFT) I) v = q`` from
+    the fixed start q, which is inverse iteration shifted just past theta.
+
+    ``v`` is kept when ``||B v||^2 >= theta (1 - _CERTIFY)``: a Rayleigh
+    quotient that close to the top eigenvalue pins ``s1`` however the
+    solve's rounding mixed in eigenvectors of a close second eigenvalue.
+    Otherwise (a start with no weight on the top direction, a singular
+    shifted matrix, theta = 0) the top column of ``gram_eigh`` is taken."""
+    n = B.shape[1]
+    G = B.T @ B
+    theta = np.linalg.eigvalsh(G)[-1]
+    if theta > 0.0:
+        G.flat[:: n + 1] -= theta * (1.0 + _SHIFT)
+        try:
+            v = np.linalg.solve(G, _start_vector(n))
+        except np.linalg.LinAlgError:  # the shifted matrix is singular
+            pass
+        else:
+            v /= math.sqrt(v.dot(v))
+            u = B @ v
+            if u.dot(u) >= theta * (1.0 - _CERTIFY):
+                return v
+    return gram_eigh(B)[1][:, -1]
+
+
 @functools.lru_cache(maxsize=16)  # bounded: a sweep over sizes must not grow it
-def _lanczos_start(n: int) -> np.ndarray:
+def _start_vector(n: int) -> np.ndarray:
     """The fixed unit start vector of length n, built once and read-only, so
-    that every call at one size starts from the same bits."""
+    that every call at one size starts from the same bits: the right-hand
+    side of the dense path's solve and Lanczos's first basis vector."""
     q = np.random.default_rng(0).standard_normal(n)
     q /= math.sqrt(q.dot(q))
     q.flags.writeable = False
@@ -107,7 +157,7 @@ def _lanczos_top(B: np.ndarray):
     n = B.shape[1]
     Q = np.empty((n, n))  # row j is the j-th Lanczos vector
     T = np.zeros((n, n))  # the tridiagonal projection of B.T @ B onto them
-    q = _lanczos_start(n)
+    q = _start_vector(n)
     scale = 0.0  # the largest Rayleigh quotient so far, <= sigma1^2
     for k in range(n - 1):
         Q[k] = q

@@ -8,7 +8,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import DimensionError, Objective, StochasticOracle, _as_flat
+from .core import DimensionError, Objective, StochasticOracle, _as_flat, _as_rows
 from .core import _NONNEGATIVE, _NONNEGATIVE_INT, _POSITIVE_INT, _check
 
 
@@ -84,7 +84,7 @@ def lipschitz_extend(f_values, G: float, candidates: Sequence, w) -> float:
     _check(_NONNEGATIVE, G=G)
     if len(candidates) == 0:
         raise ValueError("candidate list must be nonempty")
-    cand = np.array([_as_flat(c) for c in candidates], dtype=float)
+    cand = _as_rows(candidates)
     w = _as_flat(w, cand.shape[1])
     vals = np.array([f_values(c) for c in cand], dtype=float)
     dists = np.linalg.norm(cand - w, axis=1)
@@ -101,10 +101,11 @@ class PenaltySpec:
 
     def __post_init__(self):
         _check(_NONNEGATIVE, gamma=self.gamma)
+        rows = _as_rows([a for a, _ in self.constraints])
         object.__setattr__(
             self,
             "constraints",
-            [(_as_flat(a).copy(), float(b)) for a, b in self.constraints],
+            [(a, float(b)) for a, (_, b) in zip(rows, self.constraints)],
         )
 
 
@@ -116,6 +117,9 @@ def penalized_objective(base: Objective, spec: PenaltySpec) -> Objective:
     achieving index; ties at zero keep the bare base subgradient.
     """
 
+    # x is sized by the constraints; the base oracle sizes it too
+    size = spec.constraints[0][0].size if spec.constraints else None
+
     def _worst(x):
         # the largest slack <a_j, x> - b_j and its smallest achieving index
         slacks = [float(np.dot(a, x)) - b for a, b in spec.constraints]
@@ -125,7 +129,7 @@ def penalized_objective(base: Objective, spec: PenaltySpec) -> Objective:
         return worst, slacks.index(worst)
 
     def value(x):
-        x = _as_flat(x)
+        x = _as_flat(x, size)
         worst, _ = _worst(x)
         if worst > 0.0:
             return base.value(x) + spec.gamma * worst
@@ -134,7 +138,7 @@ def penalized_objective(base: Objective, spec: PenaltySpec) -> Objective:
     gamma = spec.gamma
 
     def subgrad(x):
-        x = _as_flat(x)
+        x = _as_flat(x, size)
         g = np.array(base.subgrad(x), dtype=float, copy=True)
         worst, j_star = _worst(x)
         if worst > 0.0:

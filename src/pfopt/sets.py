@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DimensionError, FeasibleSet, _POSITIVE, _POSITIVE_INT, _as_flat, _check
+from .core import FeasibleSet, _POSITIVE, _POSITIVE_INT, _as_flat, _as_rows, _check
 from .linalg import gram_eigh, nuclear_norm, top_singular_triplet
 from .linalg import full_svd  # noqa: F401  (perfbench/layers.py times sets.full_svd)
 
@@ -119,13 +119,9 @@ class VertexPolytope(FeasibleSet):
     """Convex hull of an explicit vertex list; LMO by direct scan."""
 
     def __init__(self, vertices):
-        verts = [_as_flat(v) for v in vertices]
-        if not verts:
+        self.vertices = _as_rows(vertices)
+        if len(self.vertices) == 0:
             raise ValueError("vertex list must be nonempty")
-        dim = verts[0].size
-        if any(v.size != dim for v in verts):
-            raise DimensionError("all vertices must share one shape")
-        self.vertices = np.array(verts, dtype=float)
         self.center = self.vertices[0].copy()
         self.radius = float(
             np.max(np.linalg.norm(self.vertices - self.center, axis=1))

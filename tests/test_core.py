@@ -17,6 +17,7 @@ from pfopt import (
     lipschitz_extend,
     params_deterministic,
     params_stochastic,
+    penalized_objective,
     pfw_run,
     pfw_run_stochastic,
     pgd_run,
@@ -221,6 +222,18 @@ _SHAPE_CASES = [
     ("l1_distance.value", 3, l1_distance(np.zeros(3)).value),
     ("l1_distance.subgrad", 3, l1_distance(np.zeros(3)).subgrad),
     ("lipschitz_extend.w", 3, lambda w: lipschitz_extend(lambda x: 0.0, 1.0, [np.zeros(3)], w)),
+    # a list of vectors is sized by its first entry
+    ("lipschitz_extend.candidates", 3,
+     lambda c: lipschitz_extend(lambda x: 0.0, 1.0, [np.zeros(3), c], np.zeros(3))),
+    ("VertexPolytope.vertices", 3, lambda v: VertexPolytope([np.zeros(3), v])),
+    ("PenaltySpec.constraints", 3, lambda a: PenaltySpec([(np.ones(3), 0.0), (a, 0.0)], 1.0)),
+] + [
+    # the penalty oracle sizes x by its constraints, here one entry longer
+    # than its base objective's anchor
+    (f"penalized_objective.{op}", 3,
+     getattr(penalized_objective(l1_distance(np.zeros(2)),
+                                 PenaltySpec([(np.ones(3), 0.0)], 1.0)), op))
+    for op in ("value", "subgrad")
 ] + [
     (f"{solver}-{name}-start", _SETS[name].center.size,
      lambda x1, solver=solver, fs=_SETS[name]: _run(solver, fs, x1))

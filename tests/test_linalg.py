@@ -1,8 +1,58 @@
 import numpy as np
 import pytest
 
-from pfopt import full_svd, nuclear_norm, top_singular_triplet
-from pfopt.linalg import _DENSE_MAX_DIM, _lanczos_top
+from pfopt import (
+    NuclearBall,
+    full_svd,
+    l1_distance,
+    nuclear_norm,
+    params_deterministic,
+    pfw_run,
+    top_singular_triplet,
+)
+from pfopt import linalg
+from pfopt.linalg import _DENSE_MAX_DIM, _lanczos_top, _start_vector
+
+
+def _rotated(rng, s):
+    """A square matrix with singular values s, between random rotations."""
+    U = np.linalg.qr(rng.standard_normal((s.size, s.size)))[0]
+    V = np.linalg.qr(rng.standard_normal((s.size, s.size)))[0]
+    return (U * s) @ V.T
+
+
+# k x k matrices (k x 3k and 3k x k for wide and tall) that the dense path
+# must resolve to 1e-13 relative, built from rng
+_DENSE_FAMILIES = {
+    **{
+        f"clustered-gap{gap:g}": lambda k, rng, gap=gap: _rotated(
+            rng, np.r_[1.0, 1.0 - gap, rng.uniform(0.1, 0.9, k - 2)])
+        for gap in 10.0 ** -np.arange(2, 15, 2)
+    },
+    # a row permutation of a diagonal: the top three are equal to the bit
+    "degenerate": lambda k, rng: np.diag(
+        np.r_[2.0, 2.0, 2.0, np.linspace(1.9, 0.1, k - 3)])[rng.permutation(k)],
+    "decaying": lambda k, rng: _rotated(rng, np.logspace(0, -12, k)),
+    "rank-deficient": lambda k, rng: (
+        rng.standard_normal((k, k // 4)) @ rng.standard_normal((k // 4, k))),
+    "zero": lambda k, rng: np.zeros((k, k)),
+    "wide": lambda k, rng: rng.standard_normal((k, 3 * k)),
+    "tall": lambda k, rng: rng.standard_normal((3 * k, k)),
+}
+
+
+def _count_fallbacks(monkeypatch):
+    """The list that every later gram_eigh call of top_singular_triplet
+    appends to."""
+    calls = []
+    gram_eigh = linalg.gram_eigh
+
+    def counted(B):
+        calls.append(B.shape)
+        return gram_eigh(B)
+
+    monkeypatch.setattr(linalg, "gram_eigh", counted)
+    return calls
 
 
 class TestTopSingularTriplet:
@@ -131,6 +181,61 @@ class TestTopSingularTriplet:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             top_singular_triplet(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestDensePath:
+    @pytest.mark.parametrize("k", [20, 64])
+    @pytest.mark.parametrize("family", sorted(_DENSE_FAMILIES))
+    def test_value_matches_sigma1(self, family, k):
+        A = _DENSE_FAMILIES[family](k, np.random.default_rng(k))
+        assert min(A.shape) <= _DENSE_MAX_DIM
+        s1 = top_singular_triplet(A).s1
+        sigma1 = np.linalg.svd(A, compute_uv=False)[0]
+        # s1 is a Rayleigh quotient's root, so at most sigma1; numpy's sigma1
+        # carries rounding of its own, which s1 may top by a few ulps
+        assert s1 <= sigma1 * (1.0 + 1e-14)
+        assert sigma1 - s1 <= 1e-13 * sigma1
+
+    def test_start_blind_to_the_top_direction(self, monkeypatch):
+        # 3 u w^T + u2 q^T with q the fixed start vector and w a unit vector
+        # orthogonal to it: q is an eigenvector of the Gram matrix (value 1,
+        # against 9 on w), so the shifted solve returns q, whose Rayleigh
+        # quotient fails the certificate, and eigh takes over
+        n = 20
+        q = _start_vector(n)
+        w = np.zeros(n)
+        w[:2] = q[1], -q[0]
+        w /= np.linalg.norm(w)
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        u2 = rng.standard_normal(n)
+        u2 -= (u2 @ u) * u
+        u2 /= np.linalg.norm(u2)
+        A = 3.0 * np.outer(u, w) + np.outer(u2, q)
+        fallbacks = _count_fallbacks(monkeypatch)
+        t = top_singular_triplet(A)
+        assert fallbacks == [(n, n)]
+        assert t.s1 == pytest.approx(3.0, rel=1e-14)
+
+    def test_no_fallback_on_solver_drift(self, monkeypatch):
+        # criterion 5's 20 x 20 instance at T = 300: every drift matrix pfw
+        # steers by is certified without eigh
+        k, tau = 20, 5.0
+        ball = NuclearBall(k, k, tau)
+        W = np.random.default_rng(55).standard_normal((k, k))
+        W *= 2 * tau / nuclear_norm(W)
+        obj = l1_distance(W.ravel())
+        trace = pfw_run(
+            obj, ball, params_deterministic(obj.lipschitz, ball.radius, 300),
+            ball.center, record_iterates=True,
+        )
+        drifts = [-Q.reshape(k, k) for Q in trace.iterates.qs if Q.any()]
+        assert len(drifts) >= 298
+        fallbacks = _count_fallbacks(monkeypatch)
+        for A in drifts:
+            top_singular_triplet(A)
+        assert fallbacks == []
 
 
 class TestFullSvd:
