@@ -81,12 +81,13 @@ class NuclearBall(FeasibleSet):
         A = self._as_matrix(z)
         B, V = gram_eigh(A)
         BV = B @ V
-        s = np.linalg.norm(BV, axis=0)
+        # np.linalg.norm's formula minus its wrapper; compress keeps what a mask would
+        s = np.sqrt(np.add.reduce(BV * BV, axis=0))
         if s.sum() <= self.tau:
             return A.ravel().copy()
         lam = _waterfill_level(s, self.tau)
         keep = s > lam
-        P = (BV[:, keep] * (1.0 - lam / s[keep])) @ V[:, keep].T
+        P = (BV.compress(keep, 1) * (1.0 - lam / s.compress(keep))) @ V.compress(keep, 1).T
         return (P if B is A else P.T).ravel()
 
     def contains(self, x, tol: float = 1e-7) -> bool:
@@ -110,9 +111,12 @@ def _waterfill_level(s: np.ndarray, tau: float) -> float:
     i-th largest value lies above it; i = 1 always does, as tau > 0.  No
     bisection, so no extra tolerance enters downstream checks.
     """
-    s = np.sort(s)[::-1]
-    levels = (np.cumsum(s) - tau) / np.arange(1, s.size + 1)
-    return levels[np.flatnonzero(s > levels)[-1]]
+    # np.sort, np.cumsum and np.flatnonzero minus their wrappers: same bits
+    s = s.copy()
+    s.sort()
+    s = s[::-1]
+    levels = (np.add.accumulate(s) - tau) / np.arange(1, s.size + 1)
+    return levels[(s > levels).nonzero()[0][-1]]
 
 
 class VertexPolytope(FeasibleSet):

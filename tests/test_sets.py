@@ -14,7 +14,7 @@ from pfopt import (
     pfw_run,
     top_singular_triplet,
 )
-from pfopt.linalg import _DENSE_MAX_DIM
+from pfopt.linalg import _DENSE_MAX_DIM, gram_eigh
 from pfopt.sets import _waterfill_level
 
 
@@ -334,6 +334,62 @@ class TestWaterfillLevel:
                 v = rng.choice(levels)
                 lam = _waterfill_level(s, np.maximum(s - v, 0.0).sum())
                 assert abs(lam - v) <= s.size * np.finfo(float).eps * s.sum()
+
+
+def waterfill_by_sort(s, tau):
+    """_waterfill_level through np.sort, np.cumsum and np.flatnonzero."""
+    s = np.sort(s)[::-1]
+    levels = (np.cumsum(s) - tau) / np.arange(1, s.size + 1)
+    return levels[np.flatnonzero(s > levels)[-1]]
+
+
+def project_by_masks(A, tau):
+    """NuclearBall.project through np.linalg.norm and boolean masks."""
+    B, V = gram_eigh(A)
+    BV = B @ V
+    s = np.linalg.norm(BV, axis=0)
+    if s.sum() <= tau:
+        return A.ravel().copy()
+    lam = waterfill_by_sort(s, tau)
+    keep = s > lam
+    P = (BV[:, keep] * (1.0 - lam / s[keep])) @ V[:, keep].T
+    return (P if B is A else P.T).ravel()
+
+
+class TestProjectionBits:
+    """project and _waterfill_level call numpy's formulas without their
+    wrappers; each must give the wrapped forms' exact bits."""
+
+    @pytest.mark.parametrize("m, n", [(20, 20), (6, 4), (4, 6), (129, 140)])
+    def test_project_equals_the_wrapped_formulas(self, m, n):
+        tau = 5.0
+        ball = NuclearBall(m, n, tau)
+        rng = np.random.default_rng(m + 5 * n)
+        k = min(m, n)
+        U = np.linalg.qr(rng.standard_normal((m, k)))[0]
+        W = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        tied = np.zeros((m, n))
+        # two values 3v over k - 2 values v: the level lands on the tied v
+        tied[np.arange(k), np.arange(k)] = 1.25 * np.r_[3.0, 3.0, np.ones(k - 2)]
+        inputs = {
+            "gaussian": rng.standard_normal((m, n)),
+            "rank three": rng.standard_normal((m, 3)) @ rng.standard_normal((3, n)),
+            "decaying": (U * np.logspace(0, -12, k)) @ W.T,
+        }
+        inputs = {name: A * (3 * tau / nuclear_norm(A)) for name, A in inputs.items()}
+        inputs["tied"] = tied
+        interior = rng.standard_normal((m, n))
+        inputs["interior"] = interior * (0.5 * tau / nuclear_norm(interior))
+        for name, A in inputs.items():
+            P = ball.project(A.ravel())
+            assert P.tobytes() == project_by_masks(A, tau).tobytes(), name
+            B, V = gram_eigh(A)
+            s = np.linalg.norm(B @ V, axis=0)
+            # the interior point takes the copy path, with no level
+            assert (s.sum() <= tau) == (name == "interior")
+            if name != "interior":
+                level = _waterfill_level(s, tau)
+                assert level.tobytes() == waterfill_by_sort(s, tau).tobytes(), name
 
 
 class TestNuclearContains:
