@@ -48,8 +48,9 @@ class IterateLog:
     y_{k+1}.  The drift solver also records qs[j], the drift Q_k steering that
     iteration, and gs[j], the subgradient taken at y_k; the projected
     baselines have neither, so both are None there, and their ys is xs.
-    Per-iteration values such as f(ys[j]) or ||qs[j]|| are derived from these
-    rows.
+    An update rule yields its records in this field order: (x, y, Q, g) for
+    the drift rule, (x,) for the projected one.  Per-iteration values such
+    as f(ys[j]) or ||qs[j]|| are derived from these rows.
     """
 
     xs: np.ndarray
@@ -95,7 +96,8 @@ def _check_start(feasible_set: FeasibleSet, x: np.ndarray):
 def _drift_steps(get_subgrad, feasible_set: FeasibleSet, params: PfwParams, x):
     """The paper's update: accumulate drift Q, step x by the LMO, relax y.
 
-    Yields (x, y, Q, g) once per iteration; Q is updated in place.
+    Yields its records (x, y, Q, g), in IterateLog's field order, once per
+    iteration; Q is updated in place.
     """
     y = x.copy()
     Q = np.zeros_like(x)
@@ -116,13 +118,13 @@ def _projected_steps(
 ):
     """The baselines' update: a subgradient step, then the projection.
 
-    Yields (x, x, None, None) once per iteration.
+    Yields its one record (x,), IterateLog's first field, once per iteration.
     """
     beta = step.beta
     while True:
         g = np.asarray(get_subgrad(x), dtype=float)
         x = np.asarray(feasible_set.project(x - g * beta), dtype=float)
-        yield x, x, None, None
+        yield (x,)
 
 
 def _solve(
@@ -143,31 +145,25 @@ def _solve(
     _check_start(feasible_set, x)
     n_steps = params.horizon - 1 if drift else params.horizon
     sum_x = x.copy()
-    log = None
-    if record_iterates:
-        xs = np.empty((n_steps, x.size))
-        if drift:
-            log = IterateLog(xs=xs, ys=np.empty_like(xs), qs=np.empty_like(xs),
-                             gs=np.empty_like(xs))
-        else:
-            log = IterateLog(xs=xs, ys=xs)
     rule = _drift_steps if drift else _projected_steps
     steps = rule(get_subgrad, feasible_set, params, x)
+    rows = np.empty((4 if drift else 1, n_steps, x.size)) if record_iterates else None
     for k in range(1, n_steps + 1):
         try:
-            x, y, Q, g = next(steps)
+            record = next(steps)
         except Exception as exc:
             raise SolverError(f"oracle failure: {exc}", k) from exc
-        _guard(x, k)
-        if y is not x:
-            _guard(y, k)
-        sum_x += x
-        if log is not None:
-            log.xs[k - 1] = x
-            if drift:
-                log.ys[k - 1] = y
-                log.qs[k - 1] = Q
-                log.gs[k - 1] = g
+        # a record leads with its iterates: x, and y where the rule has one
+        for iterate in record[:2]:
+            _guard(iterate, k)
+        sum_x += record[0]
+        if rows is not None:
+            rows[:, k - 1] = record
+    log = None
+    if rows is not None:
+        # a rule that records only x gives the baselines' log: ys is xs
+        xs, *rest = rows
+        log = IterateLog(xs, *(rest or [xs]))
     xbar = sum_x / (n_steps + 1)
     return RunTrace(xbar=xbar, f_xbar=float(objective_value(xbar)), iterates=log)
 
@@ -190,6 +186,12 @@ def pfw_run(
     )
 
 
+def _noisy(oracle: StochasticOracle):
+    """The oracle's noisy subgradient, drawing from one generator per run."""
+    rng = oracle.rng()
+    return lambda x: oracle.noisy_subgrad(x, rng)
+
+
 def pfw_run_stochastic(
     oracle: StochasticOracle,
     feasible_set: FeasibleSet,
@@ -198,13 +200,9 @@ def pfw_run_stochastic(
     record_iterates: bool = False,
 ) -> RunTrace:
     """Projection-free run with noisy subgradients; bit-reproducible per seed."""
-    rng = oracle.rng()
-
-    def get_subgrad(y):
-        return oracle.noisy_subgrad(y, rng)
-
     return _solve(
-        oracle.base.value, get_subgrad, feasible_set, params, x1, record_iterates
+        oracle.base.value, _noisy(oracle), feasible_set, params, x1,
+        record_iterates,
     )
 
 
@@ -232,12 +230,7 @@ def sgd_run(
     record_iterates: bool = False,
 ) -> RunTrace:
     """Stochastic projected subgradient descent baseline."""
-    rng = oracle.rng()
-
-    def get_subgrad(x):
-        return oracle.noisy_subgrad(x, rng)
-
     return _solve(
-        oracle.base.value, get_subgrad, feasible_set,
+        oracle.base.value, _noisy(oracle), feasible_set,
         GradientStep(beta=beta, horizon=T), x0, record_iterates,
     )

@@ -6,6 +6,7 @@ import pytest
 from pfopt import (
     GaussianNoiseSpec,
     Hypercube,
+    NuclearBall,
     Objective,
     PfwParams,
     SolverError,
@@ -473,3 +474,47 @@ class TestStochasticRuns:
         )
         # Appendix-style bound for the G-free schedule: 3BR/sqrt(T)
         assert trace.f_xbar - f_star <= 3 * B * fs.radius / np.sqrt(T)
+
+
+RECORDED_SETS = {
+    "hypercube": lambda: Hypercube(5),
+    "nuclear": lambda: NuclearBall(4, 3, 2.0),
+    "polytope": lambda: VertexPolytope(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "solver, set_name",
+    [(solver, name) for solver in ("pfw", "pfw_stochastic") for name in RECORDED_SETS]
+    + [(solver, name) for solver in ("pgd", "sgd") for name in ("hypercube", "nuclear")],
+)
+def test_recording_does_not_perturb_the_run(solver, set_name):
+    fs = RECORDED_SETS[set_name]()
+    d, T = fs.center.size, 40
+    obj = l1_distance(np.linspace(-3.0, 3.0, d))
+    oracle = gaussian_oracle(obj, GaussianNoiseSpec(sigma=0.5, seed=4), d)
+    G, B, R = obj.lipschitz, oracle.second_moment, fs.radius
+    runs = {
+        "pfw": lambda rec: pfw_run(
+            obj, fs, params_deterministic(G, R, T), fs.center, rec
+        ),
+        "pfw_stochastic": lambda rec: pfw_run_stochastic(
+            oracle, fs, params_stochastic(G, B, R, T, "with_G"), fs.center, rec
+        ),
+        "pgd": lambda rec: pgd_run(obj, fs, R / (G * np.sqrt(T)), T, fs.center, rec),
+        "sgd": lambda rec: sgd_run(oracle, fs, R / (B * np.sqrt(T)), T, fs.center, rec),
+    }
+    plain, recorded = runs[solver](False), runs[solver](True)
+    assert plain.iterates is None
+    assert recorded.xbar.tobytes() == plain.xbar.tobytes()
+    assert recorded.f_xbar.hex() == plain.f_xbar.hex()
+    log = recorded.iterates
+    if solver.startswith("pfw"):
+        for rows in (log.xs, log.ys, log.qs, log.gs):
+            assert rows.shape == (T - 1, d)
+    else:
+        assert log.xs.shape == (T, d)
+        assert log.ys is log.xs
+        assert log.qs is None and log.gs is None

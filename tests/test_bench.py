@@ -95,16 +95,20 @@ class TestRunExperiment:
         "overrides",
         [
             dict(experiment="hypercube_l1", n=6),
+            dict(experiment="hypercube_l1", n=6, omega_mode="inside"),
             dict(experiment="nuclear_l1", n=6, m=6, tau=5.0, omega_mode="outside"),
             dict(experiment="num3_demo", n=4, algorithms=["pfw"]),
         ],
-        ids=["hypercube_l1", "nuclear_l1", "num3_demo"],
+        ids=["hypercube_l1", "hypercube_l1_inside", "nuclear_l1", "num3_demo"],
     )
     def test_zero_noise_cells_reproduce_the_exact_solvers(self, overrides):
         # a zero-noise cell runs the noisy oracle at sigma = 0, where B = G:
         # the same schedule, step and xbar as the exact solvers
         cfg = small_config(sigma_list=[0.0], T_list=[40, 200], **overrides)
-        fs, objective, _ = pfopt.bench._BUILDERS[cfg.experiment](cfg)
+        fs, objective, f_star = pfopt.bench._BUILDERS[cfg.experiment](cfg)
+        if cfg.omega_mode == "inside":
+            # an anchor inside the set is its own optimum, so error is f_xbar
+            assert f_star == 0.0
         G, R = objective.lipschitz, fs.radius
         points = run_experiment(cfg)
         assert len(points) == len(cfg.T_list) * len(cfg.algorithms)
@@ -118,6 +122,10 @@ class TestRunExperiment:
                 bound = R * G / rt
             assert p.f_xbar.hex() == exact.f_xbar.hex()
             assert p.bound == pytest.approx(bound, rel=1e-15, abs=0.0)
+            if f_star is None:
+                assert p.error is None
+            else:
+                assert p.error == p.f_xbar - f_star and p.error <= p.bound
 
     def test_nuclear_inside_has_zero_optimum(self):
         cfg = ExperimentConfig(
@@ -351,8 +359,14 @@ class TestCli:
             ("run", json.dumps(dict(CLI_CONFIG, seeds=[1.0])), "seeds"),
             ("run", json.dumps(dict(CLI_CONFIG, seeds=[None])), "seeds"),
             ("run", "[1, 2]", "JSON object"),
+            ("run", json.dumps({k: v for k, v in CLI_CONFIG.items() if k != "n"}),
+             "argument: 'n'"),
+            ("run", json.dumps(dict(CLI_CONFIG, experiment="num3_demo", n=11)),
+             "capped at n <= 10"),
             ("run_into_file", json.dumps(CLI_CONFIG), "File exists"),
             ("plot", None, "No such file"),
+            ("plot", f"{CSV_HEADER.replace('f_xbar', 'fx')}\n{CSV_ROW}\n",
+             "unrecognized CSV header"),
             ("plot", CSV_HEADER + "\nhypercube_l1,pfw,10\n", "line 2"),
             ("plot", f"{CSV_HEADER}\n{CSV_ROW}\n{CSV_ROW.replace(',100,', ',0,')}\n",
              "line 3: T has"),
@@ -365,7 +379,9 @@ class TestCli:
              "output_dir_int", "gamma_nan", "sigma_nan", "tau_inf", "sigma_overflow",
              "seeds_negative",
              "seeds_bool", "seeds_float", "seeds_none", "top_level_list",
-             "output_dir_is_file", "missing_csv", "short_csv_row", "csv_T_zero",
+             "n_missing", "num3_n_over_cap",
+             "output_dir_is_file", "missing_csv", "csv_wrong_header",
+             "short_csv_row", "csv_T_zero",
              "csv_f_xbar_nan", "csv_n_str"],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, text, names):
