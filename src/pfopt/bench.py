@@ -7,6 +7,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -410,6 +411,40 @@ def render_plot(points: List[CurvePoint], path):
     Path(path).write_text("\n".join(out) + "\n")
 
 
+# the BLAS thread variables a run records where they are set
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """What a run's timings depend on beyond its config: the numpy version,
+    its BLAS library ("unknown" on numpy < 1.25, which has no dict form of
+    its build config), the BLAS thread variables that are set, and the git
+    revision of the checkout pfopt is imported from ("unknown" for an
+    installed package)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas_name = "unknown"
+    revision = "unknown"
+    root = Path(__file__).resolve().parents[2]  # src/pfopt/bench.py in a checkout
+    if (root / ".git").exists():
+        import subprocess  # here, not at the top: it adds ms to importing pfopt
+        try:
+            proc = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                                  capture_output=True, text=True, timeout=30)
+            revision = proc.stdout.strip() or revision
+        except (OSError, subprocess.TimeoutExpired):
+            pass
+    return {
+        "numpy": np.__version__,
+        "blas": blas_name,
+        "blas_threads": {v: os.environ[v] for v in _THREAD_VARS if v in os.environ},
+        "git_revision": revision,
+    }
+
+
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.output_dir:
@@ -433,6 +468,7 @@ def _cmd_run(args) -> int:
         "mode": config.omega_mode,
         "rng": "pcg64 seeded from [seeds[0], 0x0FF5E7]",
     }
+    meta["environment"] = _environment()
     (out / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"wrote {csv_path} and {svg_path} ({len(points)} cells)")
     return 0

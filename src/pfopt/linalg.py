@@ -77,7 +77,8 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
     LinAlgError.
     """
     A = np.asarray(A, dtype=float)
-    if not np.isfinite(A).all():
+    # a finite sum of squares proves every entry finite; else the scan decides
+    if not (math.isfinite(np.vdot(A, A)) or np.isfinite(A).all()):
         raise ValueError("matrix has non-finite entries")
     B = _narrow(A)
     v = _lanczos_top(B) if B.shape[1] > _DENSE_MAX_DIM else None
@@ -118,8 +119,11 @@ def _dense_top(B: np.ndarray) -> np.ndarray:
     theta = np.linalg.eigvalsh(G)[-1]
     if theta > 0.0:
         G.flat[:: n + 1] -= theta * (1.0 + _SHIFT)
+        # the solve grows q about 2^50 / theta times; scaled by a power of two
+        # near theta 2^-50, exactly, q gives ||v|| ~ 1 and ||v||^2 in range
+        rhs = _start_vector(n) * math.ldexp(1.0, math.frexp(theta)[1] - 50)
         try:
-            v = np.linalg.solve(G, _start_vector(n))
+            v = np.linalg.solve(G, rhs)
         except np.linalg.LinAlgError:  # the shifted matrix is singular
             pass
         else:

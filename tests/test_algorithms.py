@@ -297,7 +297,9 @@ class TestPfwRun:
 
     # the guard's edges: +-1e12 itself and -0.0 pass; the next float up, and
     # a magnitude whose square overflows, are "magnitude exceeded" with no
-    # RuntimeWarning; a NaN next to a huge entry is "non-finite"
+    # RuntimeWarning; a NaN next to a huge entry is "non-finite".  90000
+    # entries of 3e9 have a squared norm of 8.1e23, past the one-dot check's
+    # 2.5e23, so the exact scan must pass them
     @pytest.mark.parametrize(
         "value, message",
         [([1e12, -1e12], None),
@@ -305,25 +307,27 @@ class TestPfwRun:
          ([np.nextafter(1e12, np.inf), 0.0], "magnitude exceeded"),
          ([0.0, -np.nextafter(1e12, np.inf)], "magnitude exceeded"),
          ([1e200, 0.0], "magnitude exceeded"),
-         ([1e200, np.nan], "non-finite")],
+         ([1e200, np.nan], "non-finite"),
+         (np.full(90000, 3e9), None)],
         ids=["at bound", "negative zero", "above bound", "below -bound",
-             "overflowing square", "huge and nan"],
+             "overflowing square", "huge and nan", "large norm in bound"],
     )
     @pytest.mark.parametrize("place", ["lmo x", "projection x", "y"])
     def test_guard_edges(self, value, message, place):
         value = np.array(value)
+        start = np.zeros(value.size)
         if place == "y":
             # x1 = 0, Q = 0 and lmo(0) = 0 in the first step, so with
             # alpha = eta = 1 the update is y = -g / 2 = value, exactly
-            fs, subgrad = Hypercube(2), lambda x: -2.0 * value
+            fs, subgrad = Hypercube(value.size), lambda x: -2.0 * value
         else:
-            fs, subgrad = ConstantHypercube(value), lambda x: np.zeros(2)
+            fs, subgrad = ConstantHypercube(value), lambda x: start
         obj = Objective(value=lambda x: 0.0, subgrad=subgrad, lipschitz=1.0)
         if place == "projection x":
-            run = lambda: pgd_run(obj, fs, 1.0, 1, np.zeros(2), record_iterates=True)
+            run = lambda: pgd_run(obj, fs, 1.0, 1, start, record_iterates=True)
         else:
             params = PfwParams(alpha=1.0, eta=1.0, horizon=2)
-            run = lambda: pfw_run(obj, fs, params, np.zeros(2), record_iterates=True)
+            run = lambda: pfw_run(obj, fs, params, start, record_iterates=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if message is None:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,20 @@ class TestCli:
         assert (out / "hypercube_l1.csv").exists()
         assert (out / "hypercube_l1.svg").exists()
         assert (out / "metadata.json").exists()
+
+    def test_metadata_records_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert main(["run", str(self.write_config(tmp_path))]) == 0
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        env = meta["environment"]
+        assert sorted(env) == ["blas", "blas_threads", "git_revision", "numpy"]
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["blas"], str) and env["blas"]
+        assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert "MKL_NUM_THREADS" not in env["blas_threads"]
+        rev = env["git_revision"]
+        assert rev == "unknown" or re.fullmatch(r"[0-9a-f]{40}", rev)
 
     def test_timings_leave_the_csv(self, tmp_path):
         cfg = self.write_config(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,8 +181,15 @@ class TestTopSingularTriplet:
         assert _lanczos_top(blind_start_matrix) is None
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            top_singular_triplet(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                top_singular_triplet(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_accepts_an_overflowing_frobenius_norm(self):
+        # the squared Frobenius norm, 20 * 1.024e307, overflows to inf, but
+        # every entry is finite: the entries decide, and the dense path's
+        # scaled solve keeps ||v||^2 in range
+        assert top_singular_triplet(3.2e153 * np.eye(20)).s1 == 3.2e153
 
 
 class TestDensePath:
@@ -217,6 +226,23 @@ class TestDensePath:
         t = top_singular_triplet(A)
         assert fallbacks == [(n, n)]
         assert t.s1 == pytest.approx(3.0, rel=1e-14)
+
+    def test_scale_sweep(self, monkeypatch):
+        # unscaled, the solve's ||v||^2 ~ (2^50 / theta)^2 overflows at
+        # c <= 1e-75 and turns subnormal, then 0, at c >= 1e85; scaled by a
+        # power of two, every c is certified without eigh
+        A = np.random.default_rng(3).standard_normal((20, 20))
+        fallbacks = _count_fallbacks(monkeypatch)
+        for c in 10.0 ** np.arange(-140, 151, 5):
+            sigma1 = np.linalg.svd(c * A, compute_uv=False)[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                t = top_singular_triplet(c * A)
+            assert t.s1 <= sigma1 * (1.0 + 1e-15)
+            assert sigma1 - t.s1 <= 1e-13 * sigma1
+            assert np.linalg.norm(t.v1) == pytest.approx(1.0, abs=1e-15)
+            assert np.linalg.norm(t.u1) == pytest.approx(1.0, abs=1e-15)
+        assert fallbacks == []
 
     def test_no_fallback_on_solver_drift(self, monkeypatch):
         # criterion 5's 20 x 20 instance at T = 300: every drift matrix pfw

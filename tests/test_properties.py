@@ -1,17 +1,23 @@
 """Property tests over drawn inputs: each set's LMO is no worse than any
 feasible point, and each projection satisfies the variational inequality
 <z - P(z), x - P(z)> <= 0 on feasible x.  Where a set has ``contains``, it
-holds on every LMO and projection output.
+holds on every LMO and projection output.  The solvers' iterate guard
+raises exactly on the entries it must, whichever of its checks decides.
 
 Matrix shapes fall on both sides of the LMO's size crossover.  Matrices are
 generated from a drawn seed, so a 140 x 140 input costs one draw, not 19600.
 """
 
+import math
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pfopt import Hypercube, NuclearBall, VertexPolytope, nuclear_norm
+from pfopt import Hypercube, NuclearBall, SolverError, VertexPolytope, nuclear_norm
+from pfopt.algorithms import _guard
 from pfopt.linalg import _DENSE_MAX_DIM
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=30)
@@ -123,3 +129,44 @@ def test_nuclear_projection_variational_inequality(shape, rank, seed, ratio):
     # the first point maximizes <A - P, X> over the ball
     for X in nuclear_ball_points(rng, P - A, tau):
         assert np.sum((A - P) * (X - P)) <= tol
+
+
+def signed(low, high):
+    return st.floats(low, high) | st.floats(-high, -low)
+
+
+# the guard's regions: +-0.0 and subnormals; entries near half the bound,
+# where the one-dot check flips; entries at the bound and just past it;
+# entries whose square overflows; and the non-finite ones
+guard_entries = [
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    signed(4.9e11, 5.1e11),
+    signed(9.999e11, 1.0001e12) | st.sampled_from([1e12, -1e12]),
+    signed(1e154, 1e300),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+]
+
+
+@st.composite
+def guard_vectors(draw):
+    """1-300 entries from a drawn nonempty subset of the regions, so that
+    vectors within the bound are drawn as well as those past it."""
+    regions = draw(st.sets(st.integers(0, len(guard_entries) - 1), min_size=1))
+    elements = st.one_of(*(guard_entries[i] for i in sorted(regions)))
+    return draw(arrays(float, st.integers(1, 300), elements=elements))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(x=guard_vectors(), k=st.integers(1, 10**6))
+def test_guard_raises_exactly_past_the_bound(x, k):
+    entries = x.tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if all(abs(v) <= 1e12 for v in entries):
+            _guard(x, k)
+            return
+        message = ("iterate became non-finite" if not all(map(math.isfinite, entries))
+                   else "iterate magnitude exceeded guard")
+        with pytest.raises(SolverError, match=message) as err:
+            _guard(x, k)
+    assert err.value.iteration == k
