@@ -87,13 +87,8 @@ def _guard(arr: np.ndarray, k: int):
 
 
 def _check_start(feasible_set: FeasibleSet, x: np.ndarray):
-    # x1 is averaged into xbar, so it must lie in the set; a set without a
-    # membership test is checked against its enclosing ball
-    try:
-        inside = feasible_set.contains(x)
-    except NotImplementedError:
-        inside = np.linalg.norm(x - feasible_set.center) <= feasible_set.radius + 1e-9
-    if not inside:
+    # x1 is averaged into xbar, so it must lie in the set
+    if not feasible_set.contains(x):
         raise ValueError("start point lies outside the feasible set")
 
 
@@ -140,7 +135,9 @@ def _solve(
 
     The drift rule (PfwParams) runs k = 1..T-1 and averages T points; the
     projected rule (GradientStep) runs k = 1..T and averages T+1 points.
-    The start is read at the set's dimension, ``center.size``.
+    The start is read at the set's dimension, ``center.size``, and must
+    pass the set's ``contains``: it is averaged into the result, so a start
+    outside the set raises ValueError before any oracle call.
     """
     drift = isinstance(params, PfwParams)
     if not drift and feasible_set.project is None:

@@ -83,12 +83,11 @@ class FeasibleSet:
 
     The set's points are flat vectors of ``center.size`` entries: its methods
     and the solvers' start points are read at that size through ``_as_flat``.
-    Subclasses must implement :meth:`lmo` and should implement
-    :meth:`contains`, which the solvers use to reject a start point outside
-    the set; a set without it (``VertexPolytope``) has its start checked
-    against the enclosing ball only.  Sets with a cheap Euclidean projection
-    also implement :meth:`project` (left as None here so callers can test for
-    the capability).
+    Subclasses must implement :meth:`lmo` and :meth:`contains`; every
+    solver checks its start point with ``contains`` and rejects one outside
+    the set.  Sets with a cheap Euclidean projection also implement
+    :meth:`project` (left as None here so callers can test for the
+    capability).
     """
 
     center: np.ndarray
@@ -101,6 +100,7 @@ class FeasibleSet:
         raise NotImplementedError
 
     def contains(self, x, tol: float = 1e-9) -> bool:
+        """Whether x lies in the set, up to tol."""
         raise NotImplementedError
 
 

@@ -44,6 +44,11 @@ _SHIFT = 2.0**-50
 # theta by rounding only: at most 1.8e-15 on pfw's 20 x 20 drift matrices
 # and 7.9e-15 on clustered, decaying and degenerate spectra at k <= 100.
 _CERTIFY = 1e-13
+# The band of ||A||_F^2 that top_singular_triplet takes as it is.  In it the
+# Gram entries, theta, the dense solve's ||v||^2 (between about theta^-2 and
+# 2^100 theta^-2) and Lanczos's w.w all stay normal floats; outside it, A is
+# scaled by a power of two, exactly, into the band and s1 back.
+_BAND = (2.0**-200, 2.0**200)
 # Lanczos stops once the top Ritz residual ||G v - theta v|| <= tol * theta;
 # the value error is second order in it (<= 3.1e-15 at 300 x 300, T = 40).
 _LANCZOS_TOL = 1e-8
@@ -72,14 +77,23 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
     top eigenvalue, relative, and takes ``eigh``'s otherwise.  The Lanczos
     path renormalises its Ritz vector ``v``, so ``||v1|| = 1`` and
     ``s1 <= sigma1`` hold however far its basis's orthogonality has drifted.
-    A zero matrix gives ``s1 = 0`` with unit vectors.  Deterministic.  Raises
+    A zero matrix gives ``s1 = 0`` with unit vectors.  A matrix whose
+    ``||A||_F^2`` lies outside ``_BAND``, or overflows, is scaled by a power
+    of two first, so every finite scale is served.  Deterministic.  Raises
     ValueError on non-finite input; a LAPACK failure surfaces as
     LinAlgError.
     """
     A = np.asarray(A, dtype=float)
-    # a finite sum of squares proves every entry finite; else the scan decides
-    if not (math.isfinite(np.vdot(A, A)) or np.isfinite(A).all()):
-        raise ValueError("matrix has non-finite entries")
+    exponent = 0
+    # a sum of squares in the band proves every entry finite; else the
+    # largest entry decides, and sets the scale
+    if not _BAND[0] <= np.vdot(A, A) <= _BAND[1]:
+        largest = np.abs(A).max()
+        if not math.isfinite(largest):
+            raise ValueError("matrix has non-finite entries")
+        if largest > 0.0:
+            exponent = math.frexp(largest)[1]
+            A = np.ldexp(A, -exponent)
     B = _narrow(A)
     v = _lanczos_top(B) if B.shape[1] > _DENSE_MAX_DIM else None
     if v is None:
@@ -87,6 +101,7 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
     u = B @ v
     s = math.sqrt(u.dot(u))
     u = u / s if s > 0.0 else np.full(u.size, u.size**-0.5)
+    s = math.ldexp(s, exponent)
     return SvdTriplet(u1=u, s1=s, v1=v) if B is A else SvdTriplet(u1=v, s1=s, v1=u)
 
 
@@ -119,11 +134,8 @@ def _dense_top(B: np.ndarray) -> np.ndarray:
     theta = np.linalg.eigvalsh(G)[-1]
     if theta > 0.0:
         G.flat[:: n + 1] -= theta * (1.0 + _SHIFT)
-        # the solve grows q about 2^50 / theta times; scaled by a power of two
-        # near theta 2^-50, exactly, q gives ||v|| ~ 1 and ||v||^2 in range
-        rhs = _start_vector(n) * math.ldexp(1.0, math.frexp(theta)[1] - 50)
         try:
-            v = np.linalg.solve(G, rhs)
+            v = np.linalg.solve(G, _start_vector(n))
         except np.linalg.LinAlgError:  # the shifted matrix is singular
             pass
         else:

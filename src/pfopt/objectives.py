@@ -8,7 +8,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import DimensionError, Objective, StochasticOracle, _as_flat, _as_rows
+from .core import Objective, StochasticOracle, _as_flat, _as_rows
 from .core import _NONNEGATIVE, _NONNEGATIVE_INT, _POSITIVE_INT, _check
 
 
@@ -58,10 +58,9 @@ def gaussian_oracle(base: Objective, spec: GaussianNoiseSpec, dim: int) -> Stoch
     sigma = spec.sigma
 
     def noisy_subgrad(x, rng):
-        g = base.subgrad(x)
-        # checked before any draw, so valid calls consume the same stream
-        if g.size != dim:
-            raise DimensionError(f"noise dimension {dim} but subgradient size {g.size}")
+        # read by the shape rule before any draw, so valid calls consume the
+        # same stream
+        g = _as_flat(base.subgrad(x), dim)
         if sigma == 0.0:
             return g
         return g + rng.standard_normal(dim) * sigma

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pfopt import (
+    FeasibleSet,
     GaussianNoiseSpec,
     Hypercube,
     NuclearBall,
@@ -214,6 +215,32 @@ class TestPfwRun:
         with pytest.raises(ValueError):
             pfw_run(obj, fs, params_deterministic(1.0, fs.radius, 10), np.full(3, 100.0))
 
+    def test_set_without_contains_fails_at_the_start(self):
+        # contains is required, like lmo: no enclosing-ball stand-in
+        class Segment(FeasibleSet):
+            center, radius = np.zeros(1), 1.0
+
+            def lmo(self, direction):
+                return -np.sign(direction)
+
+        with pytest.raises(NotImplementedError):
+            pfw_run(l1_distance(np.ones(1)), Segment(), PfwParams(1.0, 1.0, 5), [0.0])
+
+    @pytest.mark.parametrize("solver", ["pfw", "pfw_stochastic"])
+    def test_start_outside_polytope_rejected(self, solver):
+        # inside the triangle's enclosing ball (radius 1 at the vertex 0),
+        # outside the triangle: at T = 1, xbar would be the start itself
+        poly = VertexPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        obj = l1_distance(np.zeros(2))
+        oracle = gaussian_oracle(obj, GaussianNoiseSpec(sigma=0.5, seed=0), 2)
+        params = params_deterministic(obj.lipschitz, poly.radius, 1)
+        runs = {
+            "pfw": lambda: pfw_run(obj, poly, params, [0.6, 0.6]),
+            "pfw_stochastic": lambda: pfw_run_stochastic(oracle, poly, params, [0.6, 0.6]),
+        }
+        with pytest.raises(ValueError, match="^start point lies outside the feasible set$"):
+            runs[solver]()
+
     @pytest.mark.parametrize("solver", ["pfw", "pfw_stochastic", "pgd", "sgd"])
     def test_start_in_ball_outside_set_rejected(self, solver):
         # inside the enclosing ball of radius 4, outside the box
@@ -412,6 +439,21 @@ class TestStochasticRuns:
         det = pgd_run(obj, fs, beta, T, fs.center)
         sto = sgd_run(oracle, fs, beta, T, fs.center)
         assert np.array_equal(det.xbar, sto.xbar)
+
+    def test_list_subgradient_at_zero_noise_matches_deterministic(self):
+        # an objective whose subgrad returns a list runs under pfw_run; the
+        # noisy oracle reads it by the same shape rule, so it runs there too
+        n, T = 6, 400
+        fs, obj, _ = hypercube_problem(n)
+        listed = Objective(
+            value=obj.value, subgrad=lambda x: obj.subgrad(x).tolist(),
+            lipschitz=obj.lipschitz,
+        )
+        params = params_deterministic(obj.lipschitz, fs.radius, T)
+        oracle = gaussian_oracle(listed, GaussianNoiseSpec(sigma=0.0, seed=3), n)
+        det = pfw_run(listed, fs, params, fs.center)
+        sto = pfw_run_stochastic(oracle, fs, params, fs.center)
+        assert det.xbar.tobytes() == sto.xbar.tobytes()
 
     def test_seed_reproducibility(self):
         n, T = 8, 300

@@ -217,7 +217,7 @@ def _run(solver, fs, x1):
 _SHAPE_CASES = [
     (f"{name}.{op}", fs.center.size, getattr(fs, op))
     for name, fs in _SETS.items() for op in ("lmo", "project", "contains")
-    if name != "VertexPolytope" or op == "lmo"
+    if getattr(fs, op) is not None
 ] + [
     ("l1_distance.value", 3, l1_distance(np.zeros(3)).value),
     ("l1_distance.subgrad", 3, l1_distance(np.zeros(3)).subgrad),
@@ -227,6 +227,10 @@ _SHAPE_CASES = [
      lambda c: lipschitz_extend(lambda x: 0.0, 1.0, [np.zeros(3), c], np.zeros(3))),
     ("VertexPolytope.vertices", 3, lambda v: VertexPolytope([np.zeros(3), v])),
     ("PenaltySpec.constraints", 3, lambda a: PenaltySpec([(np.ones(3), 0.0), (a, 0.0)], 1.0)),
+    # the noisy oracle reads its base's subgradient at its own dimension
+    ("gaussian_oracle.subgrad", 3,
+     lambda g: gaussian_oracle(Objective(lambda x: 0.0, lambda x: g, 1.0),
+                               GaussianNoiseSpec(0.0, 0), 3).noisy_subgrad(np.zeros(3), None)),
 ] + [
     # the penalty oracle sizes x by its constraints, here one entry longer
     # than its base objective's anchor

@@ -43,6 +43,12 @@ _DENSE_FAMILIES = {
 }
 
 
+# every fifth decade of the float range, which holds 1e-170 and 1e-160, where
+# the unscaled Gram matrix's entries underflow or lose digits, and 1e154,
+# where they overflow
+_SWEEP = np.append(10.0 ** np.arange(-300, 301, 5), 1e154)
+
+
 def _count_fallbacks(monkeypatch):
     """The list that every later gram_eigh call of top_singular_triplet
     appends to."""
@@ -228,18 +234,36 @@ class TestDensePath:
         assert t.s1 == pytest.approx(3.0, rel=1e-14)
 
     def test_scale_sweep(self, monkeypatch):
-        # unscaled, the solve's ||v||^2 ~ (2^50 / theta)^2 overflows at
-        # c <= 1e-75 and turns subnormal, then 0, at c >= 1e85; scaled by a
-        # power of two, every c is certified without eigh
+        # unscaled, the Gram matrix's entries underflow (s1 = 0 at c = 1e-170)
+        # or overflow (LinAlgError at c = 1e154), and the solve's ||v||^2 ~
+        # (2^50 / theta)^2 leaves the float range sooner; scaled by a power
+        # of two into _BAND, every c is certified without eigh
         A = np.random.default_rng(3).standard_normal((20, 20))
         fallbacks = _count_fallbacks(monkeypatch)
-        for c in 10.0 ** np.arange(-140, 151, 5):
+        for c in _SWEEP:
             sigma1 = np.linalg.svd(c * A, compute_uv=False)[0]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 t = top_singular_triplet(c * A)
             assert t.s1 <= sigma1 * (1.0 + 1e-15)
             assert sigma1 - t.s1 <= 1e-13 * sigma1
+            assert np.linalg.norm(t.v1) == pytest.approx(1.0, abs=1e-15)
+            assert np.linalg.norm(t.u1) == pytest.approx(1.0, abs=1e-15)
+        assert fallbacks == []
+
+    def test_scale_sweep_lanczos(self, monkeypatch):
+        # the same sweep past _DENSE_MAX_DIM, where unscaled Lanczos gave
+        # s1 = 0 at c = 1e-170 and LinAlgError from c = 1e154; numpy's sigma1
+        # is the reference to within its own rounding, which s1 tops by up
+        # to 2e-15 at this size
+        A = np.random.default_rng(3).standard_normal((300, 300))
+        fallbacks = _count_fallbacks(monkeypatch)
+        for c in _SWEEP:
+            sigma1 = np.linalg.svd(c * A, compute_uv=False)[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                t = top_singular_triplet(c * A)
+            assert abs(sigma1 - t.s1) <= 1e-13 * sigma1
             assert np.linalg.norm(t.v1) == pytest.approx(1.0, abs=1e-15)
             assert np.linalg.norm(t.u1) == pytest.approx(1.0, abs=1e-15)
         assert fallbacks == []

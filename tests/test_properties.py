@@ -1,7 +1,8 @@
 """Property tests over drawn inputs: each set's LMO is no worse than any
 feasible point, and each projection satisfies the variational inequality
-<z - P(z), x - P(z)> <= 0 on feasible x.  Where a set has ``contains``, it
-holds on every LMO and projection output.  The solvers' iterate guard
+<z - P(z), x - P(z)> <= 0 on feasible x.  ``contains`` holds on every LMO
+and projection output, and the polytope's decides convex combinations,
+points just outside and non-finite points.  The solvers' iterate guard
 raises exactly on the entries it must, whichever of its checks decides.
 
 Matrix shapes fall on both sides of the LMO's size crossover.  Matrices are
@@ -83,6 +84,40 @@ def test_polytope_lmo_beats_feasible_points(seed, k, p, scale):
     tol = 1e-12 * (1.0 + np.abs(vertices @ d).max())
     for v in np.vstack([vertices, weights @ vertices]):
         assert best <= d @ v + tol
+
+
+def _no_lmo(direction):
+    raise AssertionError("contains called the LMO")
+
+
+@settings(PROPERTY, max_examples=100)
+@given(seed=seeds, k=st.integers(1, 30), p=st.integers(1, 8), scale=scales,
+       binary=st.booleans(), repeats=st.integers(0, 5))
+def test_polytope_contains_decides(seed, k, p, scale, binary, repeats):
+    # Gaussian vertices, or corners of the box [0, scale]^p, whose edges and
+    # faces two or three corners often span; repeated vertices; k <= p gives
+    # a flat hull
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 2, (k, p)) if binary else rng.standard_normal((k, p))
+    vertices = scale * np.vstack([base, base[rng.integers(k, size=repeats)]])
+    poly = VertexPolytope(vertices)
+    poly.lmo = _no_lmo
+    m, tol = len(vertices), 1e-9
+    combos = [rng.dirichlet(np.ones(m), size=3) @ vertices]
+    for size in (2, 3, p):
+        chosen = rng.choice(m, size=min(size, m), replace=False)
+        combos.append(rng.dirichlet(np.ones(chosen.size), size=2) @ vertices[chosen])
+    for x in np.vstack([vertices, *combos]):
+        assert poly.contains(x)
+    # the hull lies in the half-space <c, .> <= <c, vertex>, so the moved
+    # vertex is 10 tol from it
+    c = rng.standard_normal(p)
+    c /= np.linalg.norm(c)
+    assert not poly.contains(vertices[(vertices @ c).argmax()] + 10 * tol * c)
+    for bad in (math.nan, math.inf, -math.inf):
+        x = combos[0][0].copy()
+        x[rng.integers(p)] = bad
+        assert not poly.contains(x)
 
 
 @PROPERTY

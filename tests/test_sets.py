@@ -14,6 +14,7 @@ from pfopt import (
     pfw_run,
     top_singular_triplet,
 )
+from pfopt import sets
 from pfopt.linalg import _DENSE_MAX_DIM, gram_eigh
 from pfopt.sets import _waterfill_level
 
@@ -459,6 +460,54 @@ class TestVertexPolytope:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             VertexPolytope([])
+
+    def test_contains_rejects_beyond_a_vertex_by_one_scan(self, monkeypatch):
+        # the nearest point is the vertex (1, 0) itself, so the first scan
+        # gives a separating hyperplane, before any affine solve
+        solves = []
+        weights = sets._affine_weights
+        monkeypatch.setattr(sets, "_affine_weights", lambda C: solves.append(C) or weights(C))
+        poly = VertexPolytope(self.triangle)
+        assert not poly.contains([1.0 + 1e-8, -1e-8])
+        assert solves == []
+        assert not poly.contains([0.6, 0.6])
+        assert len(solves) == 1
+
+    def test_contains_just_outside_a_facet(self):
+        # num3_demo's polytope, the hull of {0, 1}^10: 1e-8 outside a facet
+        # the scores cannot separate, and about half of these points end
+        # where adding a vertex no longer lowers ||y||; on the facet, inside
+        poly = VertexPolytope(list(itertools.product((0.0, 1.0), repeat=10)))
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            x = rng.uniform(0.1, 0.9, 10)
+            x[0] = -1e-8
+            assert not poly.contains(x)
+            x[0] = 0.0
+            assert poly.contains(x)
+
+    @pytest.mark.parametrize("seed", [43, 108])
+    def test_contains_inside_a_thin_simplex(self, seed):
+        # a simplex in R^4 1e-5 thick and 1e3 from the origin: the last
+        # vertex scores within rounding of the corral's, and adding it anyway
+        # finds the point inside
+        rng = np.random.default_rng(seed)
+        vertices = rng.standard_normal((5, 4))
+        vertices[:, -1] *= 1e-6
+        vertices = 10.0 * vertices + 1e3
+        x = rng.dirichlet(np.ones(5)) @ vertices
+        assert VertexPolytope(vertices).contains(x, tol=1e-11)
+
+    @pytest.mark.parametrize("seed", [67, 113])
+    def test_contains_inside_near_duplicate_clusters(self, seed):
+        # 13 vertices in two clusters 1e-4 across, in R^9: the corral's
+        # affine solve is ill-conditioned, and with its refinement step the
+        # point inside is found within 1e-12 (one solve stalls near 1e-8)
+        rng = np.random.default_rng(seed)
+        vertices = rng.standard_normal((2, 9))[rng.integers(2, size=13)]
+        vertices = 100.0 * (vertices + 1e-6 * rng.standard_normal((13, 9)))
+        x = rng.dirichlet(np.ones(13)) @ vertices
+        assert VertexPolytope(vertices).contains(x, tol=1e-11)
 
     def test_mixed_shapes_rejected(self):
         with pytest.raises(DimensionError):
