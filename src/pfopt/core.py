@@ -53,13 +53,21 @@ def _check(rule, error=ValueError, /, **values) -> None:
             raise error(f"{name} has an invalid value: {value!r} (must be {what})")
 
 
+_FLOAT = np.dtype(float)
+
+
 def _as_flat(x, size: Optional[int] = None) -> np.ndarray:
     """Coerce an array-like to a flat float64 array of ``size`` entries, if given.
 
     This is the one size check for vectors: sets, objectives and solvers read
     their vector arguments through it, so a wrong size raises one message.
+    An exact ``np.ndarray`` that is already 1-D, C-contiguous and native
+    float64 is returned as it is; anything else, a strided view or a
+    subclass too, gets ``np.asarray(x, dtype=float).ravel()``.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    if not (type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim == 1
+            and x.flags.c_contiguous):
+        x = np.asarray(x, dtype=float).ravel()
     if size is not None and x.size != size:
         raise DimensionError(f"expected {size} entries, got {x.size}")
     return x

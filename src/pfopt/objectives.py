@@ -63,7 +63,9 @@ def gaussian_oracle(base: Objective, spec: GaussianNoiseSpec, dim: int) -> Stoch
         g = _as_flat(base.subgrad(x), dim)
         if sigma == 0.0:
             return g
-        return g + rng.standard_normal(dim) * sigma
+        # loc + scale * z per draw, from the stream standard_normal reads:
+        # the same bits as g + standard_normal(dim) * sigma, one call fewer
+        return g + rng.normal(0.0, sigma, dim)
 
     try:
         B = float(np.sqrt(base.lipschitz**2 + dim * spec.sigma**2))
@@ -138,10 +140,10 @@ def penalized_objective(base: Objective, spec: PenaltySpec) -> Objective:
 
     def subgrad(x):
         x = _as_flat(x, size)
-        g = np.array(base.subgrad(x), dtype=float, copy=True)
+        g = _as_flat(base.subgrad(x), x.size)
         worst, j_star = _worst(x)
         if worst > 0.0:
-            g += spec.constraints[j_star][0] * gamma
+            return g + spec.constraints[j_star][0] * gamma
         return g
 
     norms = [np.linalg.norm(a) for a, _ in spec.constraints]

@@ -122,20 +122,26 @@ def _waterfill_level(s: np.ndarray, tau: float) -> float:
 
 
 class VertexPolytope(FeasibleSet):
-    """Convex hull of an explicit vertex list; LMO by direct scan."""
+    """Convex hull of an explicit vertex list; LMO by direct scan.
+
+    ``vertices`` (one row per vertex) is stored column-major, so the scan
+    ``vertices @ d`` runs BLAS gemv as a sum of columns, faster than row by
+    row on ``num3_demo``'s 1024 x 10 cube; its scores may differ from the
+    row-major product in their last bits.  ``center``, ``radius`` and
+    ``contains`` read the rows row-major and do not depend on the layout.
+    """
 
     def __init__(self, vertices):
-        self.vertices = _as_rows(vertices)
-        if len(self.vertices) == 0:
+        rows = _as_rows(vertices)
+        if len(rows) == 0:
             raise ValueError("vertex list must be nonempty")
-        self.center = self.vertices[0].copy()
-        self.radius = float(
-            np.max(np.linalg.norm(self.vertices - self.center, axis=1))
-        )
+        self.center = rows[0].copy()
+        self.radius = float(np.max(np.linalg.norm(rows - self.center, axis=1)))
+        self.vertices = np.asfortranarray(rows)
 
     def lmo(self, direction) -> np.ndarray:
         scores = self.vertices @ _as_flat(direction, self.vertices.shape[1])
-        # argmin returns the lowest index on ties, which is the documented rule
+        # a fresh contiguous copy; argmin takes the lowest index on ties
         return self.vertices[scores.argmin()].copy()
 
     def contains(self, x, tol: float = 1e-9) -> bool:
@@ -149,7 +155,7 @@ class VertexPolytope(FeasibleSet):
         x = _as_flat(x, self.vertices.shape[1])
         if not np.isfinite(x).all():
             return False
-        return _hull_within(self.vertices - x, tol)
+        return _hull_within(np.subtract(self.vertices, x, order="C"), tol)
 
 
 def _hull_within(P: np.ndarray, tol: float) -> bool:

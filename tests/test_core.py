@@ -23,6 +23,7 @@ from pfopt import (
     pgd_run,
     sgd_run,
 )
+from pfopt.core import _as_flat
 
 
 class TestDeterministicParams:
@@ -232,6 +233,13 @@ _SHAPE_CASES = [
      lambda g: gaussian_oracle(Objective(lambda x: 0.0, lambda x: g, 1.0),
                                GaussianNoiseSpec(0.0, 0), 3).noisy_subgrad(np.zeros(3), None)),
 ] + [
+    # so does the penalty oracle, at x's size, whether or not its one
+    # constraint <1, x> <= b is violated at x = 1
+    (f"penalized_objective.base_subgrad-{state}", 3,
+     lambda g, b=b: penalized_objective(Objective(lambda x: 0.0, lambda x: g, 1.0),
+                                        PenaltySpec([(np.ones(3), b)], 1.0)).subgrad(np.ones(3)))
+    for state, b in (("inactive", 10.0), ("violated", 0.0))
+] + [
     # the penalty oracle sizes x by its constraints, here one entry longer
     # than its base objective's anchor
     (f"penalized_objective.{op}", 3,
@@ -261,3 +269,42 @@ def test_nan_start_lies_outside_the_set(solver, name):
     x1[0] = np.nan
     with pytest.raises(ValueError, match="outside the feasible set"):
         _run(solver, fs, x1)
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+class TestAsFlat:
+    def test_flat_float64_array_passes_through(self):
+        x = np.arange(5.0)
+        assert _as_flat(x) is x
+        assert _as_flat(x, 5) is x
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: [0.0, 1.5, -2.0, 3.0], id="list"),
+            pytest.param(lambda: np.arange(4, dtype=np.int64), id="int64"),
+            pytest.param(lambda: np.arange(4, dtype=np.float32) / 3, id="float32"),
+            pytest.param(lambda: np.arange(4.0).reshape(4, 1), id="column"),
+            # ravel copies a strided view into contiguous memory, which a
+            # BLAS call may round differently from the strided one
+            pytest.param(lambda: np.arange(8.0)[::2], id="strided"),
+            pytest.param(lambda: np.arange(4.0).astype(">f8"), id="big-endian"),
+            pytest.param(lambda: np.arange(4.0).view(_Sub), id="subclass"),
+        ],
+    )
+    def test_other_inputs_are_converted(self, make):
+        x = make()
+        out = _as_flat(x, 4)
+        assert out is not x
+        assert type(out) is np.ndarray and out.dtype == np.float64
+        assert out.flags.c_contiguous and out.dtype.isnative
+        assert np.array_equal(out, np.asarray(x, dtype=float).ravel())
+
+    def test_wrong_size_message(self):
+        with pytest.raises(DimensionError, match="^expected 3 entries, got 4$"):
+            _as_flat(np.zeros(4), 3)
+        with pytest.raises(DimensionError, match="^expected 3 entries, got 2$"):
+            _as_flat([[0.0], [1.0]], 3)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,14 @@ from pfopt import (
     GaussianNoiseSpec,
     Objective,
     PenaltySpec,
+    VertexPolytope,
     gaussian_oracle,
     hypercube_l1_optimum,
     l1_distance,
     lipschitz_extend,
+    params_deterministic,
     penalized_objective,
+    pfw_run,
 )
 
 
@@ -119,6 +124,20 @@ class TestGaussianOracle:
             oracle = gaussian_oracle(obj, GaussianNoiseSpec(sigma=sigma, seed=0), dim)
             with pytest.raises(DimensionError):
                 oracle.noisy_subgrad(np.ones(5), oracle.rng())
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0, 1e-300])
+    @pytest.mark.parametrize("dim", [1, 10, 100])
+    def test_noise_stream_pinned(self, sigma, dim):
+        # the oracle draws with rng.normal(0, sigma, dim), which must give
+        # the bits of standard_normal(dim) * sigma on every numpy it runs on
+        obj = l1_distance(np.linspace(-1.0, 1.0, dim))
+        oracle = gaussian_oracle(obj, GaussianNoiseSpec(sigma=sigma, seed=3), dim)
+        x = np.zeros(dim)
+        g = obj.subgrad(x)
+        rng, twin = oracle.rng(), np.random.default_rng(3)
+        for _ in range(50):
+            expected = g + twin.standard_normal(dim) * sigma
+            assert np.array_equal(oracle.noisy_subgrad(x, rng), expected)
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
@@ -241,6 +260,33 @@ class TestPenalty:
         assert obj.value(x) == base.value(x)
         assert np.array_equal(obj.subgrad(x), base.subgrad(x))
         assert obj.lipschitz == base.lipschitz
+
+    def test_column_base_subgradient_runs_as_flat(self):
+        # a base subgradient of shape (4, 1) is read by the shape rule: the
+        # run below violates the constraint on some steps and not on others,
+        # and gives the flat base's xbar bit for bit
+        fs = VertexPolytope(list(itertools.product((0.0, 1.0), repeat=4)))
+        spec = PenaltySpec(constraints=[(np.ones(4), 1.0)], gamma=10.0)
+        violated = []
+
+        def subgrad(x):
+            g = np.zeros(4)
+            g[x.argmin()] = -1.0
+            violated.append(x.sum() > 1.0)
+            return g
+
+        runs = []
+        for shape in ((4,), (4, 1)):
+            base = Objective(
+                value=lambda x: -float(np.min(x)),
+                subgrad=lambda x, shape=shape: subgrad(x).reshape(shape),
+                lipschitz=1.0,
+            )
+            obj = penalized_objective(base, spec)
+            params = params_deterministic(obj.lipschitz, fs.radius, 200)
+            runs.append(pfw_run(obj, fs, params, fs.center).xbar)
+        assert any(violated) and not all(violated)
+        assert np.array_equal(runs[0], runs[1])
 
     @pytest.mark.parametrize("x", [[0.5, -0.5], [3.0, 0.0]])
     def test_each_half_calls_only_its_base_half(self, x):

@@ -102,22 +102,35 @@ def test_polytope_contains_decides(seed, k, p, scale, binary, repeats):
     vertices = scale * np.vstack([base, base[rng.integers(k, size=repeats)]])
     poly = VertexPolytope(vertices)
     poly.lmo = _no_lmo
+    # the vertices are stored column-major; a row-major copy must give the
+    # same center, radius and answers
+    rows = np.ascontiguousarray(poly.vertices)
+    assert np.array_equal(poly.center, rows[0])
+    assert poly.radius == float(np.max(np.linalg.norm(rows - rows[0], axis=1)))
+    twin = VertexPolytope(vertices)
+    twin.vertices = rows
+
+    def contains(x):
+        inside = poly.contains(x)
+        assert twin.contains(x) is inside
+        return inside
+
     m, tol = len(vertices), 1e-9
     combos = [rng.dirichlet(np.ones(m), size=3) @ vertices]
     for size in (2, 3, p):
         chosen = rng.choice(m, size=min(size, m), replace=False)
         combos.append(rng.dirichlet(np.ones(chosen.size), size=2) @ vertices[chosen])
     for x in np.vstack([vertices, *combos]):
-        assert poly.contains(x)
+        assert contains(x)
     # the hull lies in the half-space <c, .> <= <c, vertex>, so the moved
     # vertex is 10 tol from it
     c = rng.standard_normal(p)
     c /= np.linalg.norm(c)
-    assert not poly.contains(vertices[(vertices @ c).argmax()] + 10 * tol * c)
+    assert not contains(vertices[(vertices @ c).argmax()] + 10 * tol * c)
     for bad in (math.nan, math.inf, -math.inf):
         x = combos[0][0].copy()
         x[rng.integers(p)] = bad
-        assert not poly.contains(x)
+        assert not contains(x)
 
 
 @PROPERTY

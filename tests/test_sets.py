@@ -5,16 +5,21 @@ import pytest
 
 from pfopt import (
     DimensionError,
+    GaussianNoiseSpec,
     Hypercube,
     NuclearBall,
     VertexPolytope,
+    gaussian_oracle,
     l1_distance,
     nuclear_norm,
     params_deterministic,
+    params_stochastic,
     pfw_run,
+    pfw_run_stochastic,
     top_singular_triplet,
 )
 from pfopt import sets
+from pfopt.bench import ExperimentConfig, _make_num3_instance
 from pfopt.linalg import _DENSE_MAX_DIM, gram_eigh
 from pfopt.sets import _waterfill_level
 
@@ -451,6 +456,51 @@ class TestVertexPolytope:
                 if val < best_val:
                     best, best_val = v, val
             assert np.array_equal(out, best)
+
+    def test_lmo_returns_a_fresh_contiguous_vertex(self):
+        poly = VertexPolytope(self.triangle)
+        assert poly.vertices.flags.f_contiguous
+        out = poly.lmo([1.0, 1.0])
+        assert out.flags.c_contiguous and not np.shares_memory(out, poly.vertices)
+
+    def test_exact_ties_on_the_cube_give_the_lowest_index(self):
+        # directions with zero and repeated entries: the column-major scan
+        # picks the first minimizer of the naive scan
+        cube = [np.array(v) for v in itertools.product((0.0, 1.0), repeat=4)]
+        poly = VertexPolytope(cube)
+        for d in itertools.product((-2.0, -1.0, 0.0, 1.0), repeat=4):
+            scores = [float(np.dot(v, d)) for v in cube]
+            assert np.array_equal(poly.lmo(d), cube[scores.index(min(scores))])
+
+    def test_contains_reads_row_major_differences(self, monkeypatch):
+        # Wolfe's scans run on the same C-ordered array as before the
+        # vertices were stored column-major, so they round as they did
+        seen = []
+        within = sets._hull_within
+        monkeypatch.setattr(sets, "_hull_within", lambda P, tol: seen.append(P) or within(P, tol))
+        vertices = np.random.default_rng(5).standard_normal((7, 3))
+        x = vertices.mean(axis=0)
+        assert VertexPolytope(vertices).contains(x)
+        assert seen[0].flags.c_contiguous and np.array_equal(seen[0], vertices - x)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_num3_run_equals_the_row_major_scan(self, sigma):
+        # a num3_demo instance at n = 6: the column-major scores may differ
+        # from the row-major ones in their last bits, but not the vertex
+        # each step picks
+        config = ExperimentConfig(
+            experiment="num3_demo", n=6, sigma_list=[sigma], T_list=[500],
+            seeds=[0], algorithms=["pfw"],
+        )
+        fs, objective, _ = _make_num3_instance(config)
+        rows = VertexPolytope(fs.vertices)
+        rows.vertices = np.ascontiguousarray(fs.vertices)
+        oracle = gaussian_oracle(objective, GaussianNoiseSpec(sigma, 0), 6)
+        params = params_stochastic(
+            objective.lipschitz, oracle.second_moment, fs.radius, 500
+        )
+        xbars = [pfw_run_stochastic(oracle, p, params, fs.center).xbar for p in (fs, rows)]
+        assert np.array_equal(xbars[0], xbars[1])
 
     def test_radius_from_first_vertex(self):
         poly = VertexPolytope(self.triangle)
