@@ -104,8 +104,8 @@ def _drift_steps(get_subgrad, feasible_set: FeasibleSet, params: PfwParams, x):
     denom = alpha + eta
     while True:
         Q += y - x
-        g = np.asarray(get_subgrad(y), dtype=float)
-        x = np.asarray(feasible_set.lmo(-Q), dtype=float)
+        g = _as_flat(get_subgrad(y), y.size)
+        x = _as_flat(feasible_set.lmo(-Q), y.size)
         # scalars on the right: array * scalar dispatches straight to the
         # ufunc; the products are the same bits either way
         y = (y * alpha + x * eta - Q * eta - g) / denom
@@ -121,8 +121,8 @@ def _projected_steps(
     """
     beta = step.beta
     while True:
-        g = np.asarray(get_subgrad(x), dtype=float)
-        x = np.asarray(feasible_set.project(x - g * beta), dtype=float)
+        g = _as_flat(get_subgrad(x), x.size)
+        x = _as_flat(feasible_set.project(x - g * beta), x.size)
         yield (x,)
 
 
@@ -137,7 +137,9 @@ def _solve(
     projected rule (GradientStep) runs k = 1..T and averages T+1 points.
     The start is read at the set's dimension, ``center.size``, and must
     pass the set's ``contains``: it is averaged into the result, so a start
-    outside the set raises ValueError before any oracle call.
+    outside the set raises ValueError before any oracle call.  Every
+    subgradient, LMO point and projection is read at that size too, so a
+    malformed one raises SolverError at its iteration.
     """
     drift = isinstance(params, PfwParams)
     if not drift and feasible_set.project is None:

@@ -60,7 +60,8 @@ def _as_flat(x, size: Optional[int] = None) -> np.ndarray:
     """Coerce an array-like to a flat float64 array of ``size`` entries, if given.
 
     This is the one size check for vectors: sets, objectives and solvers read
-    their vector arguments through it, so a wrong size raises one message.
+    their vector arguments through it, and the solvers every oracle output
+    too, so a wrong size raises one message.
     An exact ``np.ndarray`` that is already 1-D, C-contiguous and native
     float64 is returned as it is; anything else, a strided view or a
     subclass too, gets ``np.asarray(x, dtype=float).ravel()``.
@@ -95,7 +96,9 @@ class FeasibleSet:
     solver checks its start point with ``contains`` and rejects one outside
     the set.  Sets with a cheap Euclidean projection also implement
     :meth:`project` (left as None here so callers can test for the
-    capability).
+    capability).  What ``lmo`` and ``project`` return is a vector of
+    ``center.size`` entries in any array-like form; the solvers read it by
+    the same shape rule.
     """
 
     center: np.ndarray
@@ -104,7 +107,8 @@ class FeasibleSet:
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def lmo(self, direction) -> np.ndarray:
-        """Return a minimizer of <direction, x> over the set."""
+        """Return a minimizer of <direction, x> over the set: a vector of
+        ``center.size`` entries, in any array-like form."""
         raise NotImplementedError
 
     def contains(self, x, tol: float = 1e-9) -> bool:
@@ -116,7 +120,9 @@ class FeasibleSet:
 class Objective:
     """Convex objective with an exact subgradient oracle.
 
-    ``lipschitz`` bounds the norm of any returned subgradient.
+    ``lipschitz`` bounds the norm of any returned subgradient.  ``subgrad``
+    returns a vector of the point's size in any array-like form; the solvers
+    read it through ``_as_flat``.
     """
 
     value: Callable[[np.ndarray], float]
@@ -132,8 +138,10 @@ class StochasticOracle:
     """Unbiased noisy subgradient oracle with bounded second moment.
 
     ``noisy_subgrad(x, rng)`` must be mean-equal to ``base.subgrad(x)`` and
-    satisfy E||g||^2 <= second_moment**2.  All randomness flows through the
-    generator built from ``seed``; no global RNG is touched.
+    satisfy E||g||^2 <= second_moment**2, and returns a vector of the
+    point's size in any array-like form; the solvers read it through
+    ``_as_flat``.  All randomness flows through the generator built from
+    ``seed``; no global RNG is touched.
     """
 
     base: Objective

@@ -1,9 +1,11 @@
+import copy
 import warnings
 
 import numpy as np
 import pytest
 
 from pfopt import (
+    DimensionError,
     FeasibleSet,
     GaussianNoiseSpec,
     Hypercube,
@@ -564,3 +566,79 @@ def test_recording_does_not_perturb_the_run(solver, set_name):
         assert log.xs.shape == (T, d)
         assert log.ys is log.xs
         assert log.qs is None and log.gs is None
+
+
+# The loop reads every oracle output it uses, a subgradient and an LMO point
+# or a projection, through the shape rule at the iterate's size: a vector of
+# the wrong size raises at its iteration, and a column or a list is the flat
+# vector it holds.  (solver, the output malformed, the set it runs on)
+_BOUNDARY = [
+    (solver, output, set_name)
+    for solver, outputs in (
+        ("pfw", ("subgrad", "lmo")),
+        ("pgd", ("subgrad", "project")),
+        ("pfw_stochastic", ("noisy_subgrad",)),
+        ("sgd", ("noisy_subgrad",)),
+    )
+    for output in outputs
+    for set_name in ("Hypercube", "NuclearBall")
+    if set_name == "Hypercube" or output in ("lmo", "project")
+]
+_BOUNDARY_SETS = {
+    "Hypercube": lambda: Hypercube(4),
+    "NuclearBall": lambda: NuclearBall(2, 2, 1.0),
+}
+_WRONG_SIZE = {
+    "short": (lambda v: v[:-1], 3),
+    "long": (lambda v: np.append(v, 0.0), 5),
+    "single": (lambda v: v[:1], 1),
+}
+_REREAD = {"column": lambda v: v.reshape(-1, 1), "list": lambda v: v.tolist()}
+
+
+def _boundary_run(solver, output, set_name, form, T=20):
+    """Run solver on a 4-entry problem with one oracle output passed through form."""
+    fs = _BOUNDARY_SETS[set_name]()
+    obj = l1_distance(np.linspace(-3.0, 3.0, 4))
+    if output in ("lmo", "project"):
+        inner = fs
+        fs = copy.copy(inner)
+        setattr(fs, output, lambda v: form(getattr(inner, output)(v)))
+    subgrad = (lambda x: form(obj.subgrad(x))) if output == "subgrad" else obj.subgrad
+    shaped = Objective(obj.value, subgrad, obj.lipschitz)
+    # built directly, so that no wrapper of its own reads the noisy output
+    oracle = StochasticOracle(
+        base=obj,
+        noisy_subgrad=lambda x, rng: form(obj.subgrad(x) + rng.normal(0.0, 0.5, 4)),
+        second_moment=float(np.sqrt(obj.lipschitz**2 + 4 * 0.25)),
+        seed=3,
+    )
+    G, B, R = obj.lipschitz, oracle.second_moment, fs.radius
+    runs = {
+        "pfw": lambda: pfw_run(shaped, fs, params_deterministic(G, R, T), fs.center),
+        "pfw_stochastic": lambda: pfw_run_stochastic(
+            oracle, fs, params_stochastic(G, B, R, T), fs.center
+        ),
+        "pgd": lambda: pgd_run(shaped, fs, R / (G * np.sqrt(T)), T, fs.center),
+        "sgd": lambda: sgd_run(oracle, fs, R / (B * np.sqrt(T)), T, fs.center),
+    }
+    return runs[solver]()
+
+
+@pytest.mark.parametrize("solver, output, set_name", _BOUNDARY)
+@pytest.mark.parametrize("wrong", _WRONG_SIZE)
+def test_oracle_output_of_wrong_size_raises(solver, output, set_name, wrong):
+    form, got = _WRONG_SIZE[wrong]
+    with pytest.raises(SolverError) as info:
+        _boundary_run(solver, output, set_name, form)
+    assert info.match(rf"^oracle failure: expected 4 entries, got {got} \(iteration 1\)$")
+    assert info.value.iteration == 1
+    assert isinstance(info.value.__cause__, DimensionError)
+
+
+@pytest.mark.parametrize("solver, output, set_name", _BOUNDARY)
+@pytest.mark.parametrize("reread", _REREAD)
+def test_column_or_list_oracle_output_reads_as_flat(solver, output, set_name, reread):
+    flat = _boundary_run(solver, output, set_name, lambda v: v)
+    shaped = _boundary_run(solver, output, set_name, _REREAD[reread])
+    assert shaped.xbar.tobytes() == flat.xbar.tobytes()

@@ -275,6 +275,40 @@ class _Sub(np.ndarray):
     pass
 
 
+def _shipped_outputs():
+    """(case, size, a call returning one output a solver reads) for every
+    shipped set's lmo and project and every shipped oracle's subgradient."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for name, fs in (
+        ("Hypercube", Hypercube(4)),
+        ("NuclearBall-2x3", NuclearBall(2, 3, 1.0)),
+        ("NuclearBall-3x2", NuclearBall(3, 2, 1.0)),
+        ("VertexPolytope", VertexPolytope(rng.standard_normal((6, 4)))),
+    ):
+        d = fs.center.size
+        for op in ("lmo", "project"):
+            if getattr(fs, op) is None:
+                continue
+            for kind, v in (("random", 3.0 * rng.standard_normal(d)), ("zero", np.zeros(d))):
+                cases.append((f"{name}.{op}-{kind}", d, lambda f=getattr(fs, op), v=v: f(v)))
+    obj = l1_distance(np.linspace(-1.0, 1.0, 4))
+    x = np.array([0.5, -2.0, 0.0, 1.0])
+    cases.append(("l1_distance.subgrad", 4, lambda: obj.subgrad(x)))
+    # <1, x> = -0.5: inactive at b = 10, violated at b = -10
+    for state, b in (("inactive", 10.0), ("violated", -10.0)):
+        pen = penalized_objective(obj, PenaltySpec([(np.ones(4), b)], 1.0))
+        cases.append((f"penalized_objective.subgrad-{state}", 4, lambda pen=pen: pen.subgrad(x)))
+    for sigma in (0.0, 0.5):
+        oracle = gaussian_oracle(obj, GaussianNoiseSpec(sigma, 0), 4)
+        cases.append((f"gaussian_oracle-sigma{sigma}", 4,
+                      lambda oracle=oracle: oracle.noisy_subgrad(x, oracle.rng())))
+    return cases
+
+
+_SHIPPED_OUTPUTS = _shipped_outputs()
+
+
 class TestAsFlat:
     def test_flat_float64_array_passes_through(self):
         x = np.arange(5.0)
@@ -302,6 +336,16 @@ class TestAsFlat:
         assert type(out) is np.ndarray and out.dtype == np.float64
         assert out.flags.c_contiguous and out.dtype.isnative
         assert np.array_equal(out, np.asarray(x, dtype=float).ravel())
+
+    @pytest.mark.parametrize(
+        "size, output",
+        [pytest.param(size, output, id=case) for case, size, output in _SHIPPED_OUTPUTS],
+    )
+    def test_shipped_outputs_pass_through(self, size, output):
+        # the solver loop reads each of these every step: a copy here would
+        # cost every step, and a strided view could round a BLAS call apart
+        out = output()
+        assert _as_flat(out, size) is out
 
     def test_wrong_size_message(self):
         with pytest.raises(DimensionError, match="^expected 3 entries, got 4$"):
