@@ -416,17 +416,21 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _environment() -> dict:
-    """What a run's timings depend on beyond its config: the numpy version,
-    its BLAS library ("unknown" on numpy < 1.25, which has no dict form of
-    its build config), the BLAS thread variables that are set, and the git
-    revision of the checkout pfopt is imported from ("unknown" for an
-    installed package)."""
+def _blas_name() -> str:
+    """numpy's BLAS library as "<name> <version>", "unknown" on numpy < 1.25,
+    which has no dict form of its build config."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas_name = f"{blas.get('name')} {blas.get('version')}"
     except (TypeError, KeyError):
-        blas_name = "unknown"
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def _environment() -> dict:
+    """What a run's timings depend on beyond its config: the numpy version,
+    its BLAS library (``_blas_name``), the BLAS thread variables that are
+    set, and the git revision of the checkout pfopt is imported from
+    ("unknown" for an installed package)."""
     revision = "unknown"
     root = Path(__file__).resolve().parents[2]  # src/pfopt/bench.py in a checkout
     if (root / ".git").exists():
@@ -439,7 +443,7 @@ def _environment() -> dict:
             pass
     return {
         "numpy": np.__version__,
-        "blas": blas_name,
+        "blas": _blas_name(),
         "blas_threads": {v: os.environ[v] for v in _THREAD_VARS if v in os.environ},
         "git_revision": revision,
     }

@@ -119,11 +119,15 @@ def penalized_objective(base: Objective, spec: PenaltySpec) -> Objective:
     """
 
     # x is sized by the constraints; the base oracle sizes it too
-    size = spec.constraints[0][0].size if spec.constraints else None
+    constraints, gamma = tuple(spec.constraints), spec.gamma
+    size = constraints[0][0].size if constraints else None
+    # gamma * a_j once, here, so a violated step makes one array op
+    pushes = [a * gamma for a, _ in constraints]
 
     def _worst(x):
-        # the largest slack <a_j, x> - b_j and its smallest achieving index
-        slacks = [float(np.dot(a, x)) - b for a, b in spec.constraints]
+        # the largest slack <a_j, x> - b_j and its smallest achieving index;
+        # a.dot, as np.dot runs a Python-level dispatcher first (same bits)
+        slacks = [a.dot(x) - b for a, b in constraints]
         if not slacks:
             return 0.0, None
         worst = max(slacks)
@@ -133,17 +137,16 @@ def penalized_objective(base: Objective, spec: PenaltySpec) -> Objective:
         x = _as_flat(x, size)
         worst, _ = _worst(x)
         if worst > 0.0:
-            return base.value(x) + spec.gamma * worst
+            # float(): worst is np.float64, and the sum keeps base.value's type
+            return base.value(x) + gamma * float(worst)
         return base.value(x)
-
-    gamma = spec.gamma
 
     def subgrad(x):
         x = _as_flat(x, size)
         g = _as_flat(base.subgrad(x), x.size)
         worst, j_star = _worst(x)
         if worst > 0.0:
-            return g + spec.constraints[j_star][0] * gamma
+            return g + pushes[j_star]
         return g
 
     norms = [np.linalg.norm(a) for a, _ in spec.constraints]

@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 
+def pytest_report_header(config):
+    # a byte pin that fails on one numpy then names the library it ran on
+    from pfopt.bench import _blas_name
+
+    return f"numpy {np.__version__}, BLAS {_blas_name()}"
+
+
 @pytest.fixture
 def blind_start_matrix():
     """300 x 300 matrix 3 u w^T + u2 o^T with sigma1 = 3 and sigma2 = 1.

@@ -26,6 +26,7 @@ from pfopt import (
     pgd_run,
     sgd_run,
 )
+from pfopt.bench import ExperimentConfig, _make_num3_instance
 
 
 def outside_anchor(n):
@@ -39,36 +40,51 @@ def hypercube_problem(n):
     return fs, obj, f_star
 
 
+def reference_drift(subgrad, lmo, x1, params, T, sigma, seed):
+    """The drift update with N(0, sigma^2 I) noise on each subgradient,
+    written out step by step.  Returns xbar and the per-iteration rows
+    (xs, ys, qs, gs), in IterateLog's layout."""
+    alpha, eta = params.alpha, params.eta
+    rng = np.random.default_rng(seed)
+    x = np.array(x1, dtype=float)
+    y = x.copy()
+    Q = np.zeros(x.size)
+    total = x.copy()
+    rows = []
+    for _ in range(T - 1):
+        Q += y - x
+        g = subgrad(y) + sigma * rng.standard_normal(x.size)
+        x = lmo(-Q)
+        y = (alpha * y + eta * x - eta * Q - g) / (alpha + eta)
+        total += x
+        rows.append((x, y, Q.copy(), g))
+    return total / T, [np.array(r) for r in zip(*rows)]
+
+
 def reference_runs(omega, sigma, seed, params, beta, T):
     """The drift and projected updates on the hypercube with the l1 distance
     to omega and N(0, sigma^2 I) noise, written out step by step.  Returns
-    (xbar, f(xbar), last y) of each; the projected update's y is its x."""
+    (xbar, f(xbar), rows) of each: the drift update's rows are (xs, ys, qs,
+    gs), the projected update's (xs,)."""
     n = omega.size
-    alpha, eta = params.alpha, params.eta
-
-    rng = np.random.default_rng(seed)
-    x = np.zeros(n)
-    y = x.copy()
-    Q = np.zeros(n)
-    total = x.copy()
-    for _ in range(T - 1):
-        Q += y - x
-        g = np.sign(y - omega) + sigma * rng.standard_normal(n)
-        x = -np.sign(-Q)
-        y = (alpha * y + eta * x - eta * Q - g) / (alpha + eta)
-        total += x
-    pfw = (total / T, y)
+    xbar, rows = reference_drift(
+        lambda y: np.sign(y - omega), lambda d: -np.sign(d), np.zeros(n),
+        params, T, sigma, seed,
+    )
+    pfw = (xbar, rows)
 
     rng = np.random.default_rng(seed)
     x = np.zeros(n)
     total = x.copy()
+    xs = []
     for _ in range(T):
         g = np.sign(x - omega) + sigma * rng.standard_normal(n)
         x = np.clip(x - beta * g, -1.0, 1.0)
         total += x
-    pgd = (total / (T + 1), x)
+        xs.append(x)
+    pgd = (total / (T + 1), [np.array(xs)])
 
-    return [(xbar, float(np.abs(xbar - omega).sum()), y) for xbar, y in (pfw, pgd)]
+    return [(xbar, float(np.abs(xbar - omega).sum()), rows) for xbar, rows in (pfw, pgd)]
 
 
 class HugeLmoHypercube(Hypercube):
@@ -492,7 +508,8 @@ class TestStochasticRuns:
     def test_matches_reference_transcription(self, sigma):
         # pins the solvers' operation order: a reordering of the arithmetic
         # shows in the last bits of y; pfw's xbar averages sign vectors, so
-        # it moves only when a sign of Q flips
+        # it moves only when a sign of Q flips.  Every recorded row must
+        # match too, so a sign carried in the loop cannot leak into the log
         n, T, seed = 7, 60, 5
         omega = np.array([2.5, -1.7, 0.3, 1.2, -0.4, 3.0, -2.2])
         fs, obj = Hypercube(n), l1_distance(omega)
@@ -504,12 +521,54 @@ class TestStochasticRuns:
             pfw_run_stochastic(oracle, fs, params, fs.center, record_iterates=True),
             sgd_run(oracle, fs, beta, T, fs.center, record_iterates=True),
         )
-        for trace, (xbar, f_xbar, y) in zip(
+        for trace, (xbar, f_xbar, rows) in zip(
             traces, reference_runs(omega, sigma, seed, params, beta, T)
         ):
             assert trace.xbar.tobytes() == xbar.tobytes()
             assert trace.f_xbar.hex() == f_xbar.hex()
-            assert trace.iterates.ys[-1].tobytes() == y.tobytes()
+            log = trace.iterates
+            for got, want in zip((log.xs, log.ys, log.qs, log.gs), rows):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_matches_reference_transcription_on_the_polytope(self, sigma):
+        # num3_demo at n = 4: the vertex scan and the exact-penalty oracle,
+        # whose arithmetic is written out here; the run violates the
+        # constraint on some steps and not on others
+        n, T, seed = 4, 1000, 3
+        config = ExperimentConfig(
+            experiment="num3_demo", n=n, sigma_list=[sigma], T_list=[T],
+            seeds=[seed], algorithms=["pfw"],
+        )
+        fs, obj, _ = _make_num3_instance(config)
+        a, b, gamma = np.ones(n), n / 2.0, config.gamma
+
+        def value(x):
+            slack = float(np.dot(a, x)) - b
+            return -float(np.min(x)) + (gamma * slack if slack > 0.0 else 0.0)
+
+        def subgrad(x):
+            g = np.zeros(n)
+            g[x.argmin()] = -1.0
+            # one constraint: its index is the smallest achieving the max
+            if float(np.dot(a, x)) - b > 0.0:
+                g = g + a * gamma
+            return g
+
+        oracle = gaussian_oracle(obj, GaussianNoiseSpec(sigma=sigma, seed=seed), n)
+        params = params_stochastic(
+            obj.lipschitz, oracle.second_moment, fs.radius, T, "with_G"
+        )
+        trace = pfw_run_stochastic(oracle, fs, params, fs.center, record_iterates=True)
+        xbar, rows = reference_drift(subgrad, fs.lmo, fs.center, params, T, sigma, seed)
+        ys = np.vstack([fs.center, rows[1][:-1]])  # the points the oracle saw
+        violated = ys.sum(axis=1) > b
+        assert violated.any() and not violated.all()
+        assert trace.xbar.tobytes() == xbar.tobytes()
+        assert trace.f_xbar.hex() == value(xbar).hex()
+        log = trace.iterates
+        for got, want in zip((log.xs, log.ys, log.qs, log.gs), rows):
+            assert got.tobytes() == want.tobytes()
 
     def test_b_only_schedule_runs(self):
         n, T = 5, 500

@@ -195,6 +195,28 @@ def _zero_objective(n):
     )
 
 
+def reference_penalty(base, constraints, gamma):
+    """The penalty oracle's formulas written out: each slack as
+    float(np.dot(a, x)) - b, the smallest index achieving the largest, and
+    base + gamma * slack, g + a * gamma on a positive one."""
+
+    def worst(x):
+        slacks = [float(np.dot(a, x)) - b for a, b in constraints]
+        top = max(slacks)
+        return top, slacks.index(top)
+
+    def value(x):
+        top, _ = worst(x)
+        return base.value(x) + gamma * top if top > 0.0 else base.value(x)
+
+    def subgrad(x):
+        g = base.subgrad(x)
+        top, j = worst(x)
+        return g + constraints[j][0] * gamma if top > 0.0 else g
+
+    return value, subgrad
+
+
 class TestPenalty:
     def test_inactive_constraints(self):
         base = l1_distance(np.zeros(2))
@@ -233,6 +255,34 @@ class TestPenalty:
             x, y = rng.standard_normal((2, 3))
             g = obj.subgrad(x)
             assert obj.value(y) >= obj.value(x) + np.dot(g, y - x) - 1e-10
+
+    @pytest.mark.parametrize("gamma", [0.0, 10.0])
+    def test_several_constraints_match_the_reference_bits(self, gamma):
+        # unit rows, a duplicate of the first and a sum row, on points where
+        # every constraint is inactive, where the worst is zero (a tie that
+        # keeps the base), where distinct rows tie at a positive worst (the
+        # smallest index wins), and random points
+        rng = np.random.default_rng(12)
+        e = np.eye(4)
+        constraints = [
+            (e[0], 1.0), (e[1], 1.0), (e[0], 1.0), (e[0] + e[1], 10.0),
+            (0.1 * rng.standard_normal(4), 0.3),
+        ]
+        base = l1_distance(rng.standard_normal(4))
+        obj = penalized_objective(base, PenaltySpec(constraints=constraints, gamma=gamma))
+        value, subgrad = reference_penalty(base, constraints, gamma)
+        points = [[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [3.0, 3.0, 0.0, 0.0],
+                  [2.0, 3.0, 0.0, 0.0], [-0.0, 5.0, 1.0, -1.0]]
+        points += list(3.0 * rng.standard_normal((40, 4)))
+        worst = []
+        for x in map(np.array, points):
+            assert obj.value(x).hex() == value(x).hex()
+            assert obj.subgrad(x).tobytes() == subgrad(x).tobytes()
+            slacks = [float(np.dot(a, x)) - b for a, b in constraints]
+            worst.append((max(slacks), slacks.count(max(slacks))))
+        assert any(top <= 0.0 for top, _ in worst)
+        assert any(top > 0.0 for top, _ in worst)
+        assert any(top > 0.0 and ties > 1 for top, ties in worst)
 
     def test_lipschitz_bound_holds(self):
         rng = np.random.default_rng(10)

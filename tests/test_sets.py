@@ -98,6 +98,14 @@ class TestHypercubeProjection:
                 best = grid[np.argmin((grid - z[i]) ** 2)]
                 assert abs(p[i] - best) <= 1e-3
 
+    def test_bits_equal_np_clip_on_special_values(self):
+        tiny = np.finfo(float).smallest_subnormal
+        z = np.array([
+            0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
+            np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 0.5, -3.0,
+        ])
+        assert Hypercube(z.size).project(z).tobytes() == np.clip(z, -1.0, 1.0).tobytes()
+
     def test_variational_inequality(self):
         box = Hypercube(5)
         rng = np.random.default_rng(10)
