@@ -21,7 +21,7 @@ import numpy as np
 # patches all four solver names on this module.
 from .algorithms import pfw_run, pfw_run_stochastic, pgd_run, sgd_run  # noqa: F401
 from .core import Objective, SolverError, params_stochastic
-from .core import _NONNEGATIVE, _NONNEGATIVE_INT, _POSITIVE_INT, _check, _is_int, _is_real
+from .core import _NONNEGATIVE, _NONNEGATIVE_INT, _POSITIVE_INT, _check
 from .linalg import nuclear_norm
 from .objectives import (
     GaussianNoiseSpec,
@@ -51,10 +51,12 @@ class ConfigError(ValueError):
 
 
 def _each(rule):
-    """The rule of a list field: a nonempty list whose every entry meets rule."""
+    """The rule of a list field: a nonempty list of distinct entries (a repeat
+    would run its cells twice), each meeting rule, which is tested first."""
     ok, what = rule
-    return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v)),
-            f"a nonempty list whose every entry is {what}")
+    return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v))
+            and len(set(v)) == len(v),
+            f"a nonempty list of distinct entries, each {what}")
 
 
 # The one rule each field's value must meet, and its wording for the error;
@@ -63,9 +65,8 @@ def _each(rule):
 _FIELD_RULES = {
     "experiment": (lambda v: v in EXPERIMENTS, f"one of {EXPERIMENTS}"),
     "n": _POSITIVE_INT,
-    "m": (_is_int, "an integer"),
-    "tau": (_is_real, "a finite number"),
-    "gamma": (_is_real, "a finite number"),
+    "m": _NONNEGATIVE_INT,
+    "tau": _NONNEGATIVE,
     "omega_mode": (lambda v: v in ("inside", "outside"), "'inside' or 'outside'"),
     "output_dir": (lambda v: isinstance(v, str), "a string"),
     "sigma_list": _each(_NONNEGATIVE),
@@ -87,13 +88,12 @@ class ExperimentConfig:
     m: int = 0
     tau: float = 0.0
     omega_mode: str = "outside"
-    gamma: float = 10.0
 
     def validate(self):
         for name, rule in _FIELD_RULES.items():
             _check(rule, ConfigError, **{name: getattr(self, name)})
         # the rules that tie fields together
-        if self.T_list != sorted(set(self.T_list)):
+        if self.T_list != sorted(self.T_list):
             raise ConfigError("T_list must be strictly increasing")
         if self.experiment == "nuclear_l1" and not (self.m >= 1 and self.tau > 0):
             raise ConfigError("nuclear_l1 needs m >= 1 and tau > 0")
@@ -180,12 +180,11 @@ def _make_num3_instance(config: ExperimentConfig):
         return g
 
     base = Objective(value=value, subgrad=subgrad, lipschitz=1.0)
-    spec = PenaltySpec(
-        constraints=[(np.ones(n), n / 2.0)], gamma=config.gamma
-    )
+    # gamma = 10 > the multiplier 1/n, so the penalty is exact: f* = -1/2 at x = 1/2
+    spec = PenaltySpec(constraints=[(np.ones(n), n / 2.0)], gamma=10.0)
     objective = penalized_objective(base, spec)
     verts = [np.array(v, dtype=float) for v in itertools.product((0.0, 1.0), repeat=n)]
-    return VertexPolytope(verts), objective, None
+    return VertexPolytope(verts), objective, -0.5
 
 
 _BUILDERS = {

@@ -541,7 +541,7 @@ class TestStochasticRuns:
             seeds=[seed], algorithms=["pfw"],
         )
         fs, obj, _ = _make_num3_instance(config)
-        a, b, gamma = np.ones(n), n / 2.0, config.gamma
+        a, b, gamma = np.ones(n), n / 2.0, 10.0
 
         def value(x):
             slack = float(np.dot(a, x)) - b

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -148,12 +149,12 @@ class TestRunExperiment:
 
     def test_num3_demo_runs(self):
         cfg = ExperimentConfig(
-            experiment="num3_demo", n=3, gamma=4.0,
+            experiment="num3_demo", n=3,
             sigma_list=[0.0], T_list=[200], seeds=[1], algorithms=["pfw"],
         )
         points = run_experiment(cfg)
         assert len(points) == 1
-        assert points[0].error is None
+        assert points[0].error == points[0].f_xbar + 0.5
 
     def test_mean_error_nonincreasing_in_T(self):
         # soft monotonicity: allow one inversion, as the theorems only bound
@@ -164,6 +165,54 @@ class TestRunExperiment:
             vals = [v for _, v, _ in pts]
             inversions += sum(1 for a, b in zip(vals, vals[1:]) if b > a + 1e-12)
         assert inversions <= 1
+
+
+def num3_instance(n):
+    return pfopt.bench._make_num3_instance(
+        small_config(experiment="num3_demo", n=n, algorithms=["pfw"])
+    )
+
+
+class TestNum3Optimum:
+    """num3_demo minimizes -min(x) over [0, 1]^n with sum(x) <= n/2, the
+    constraint as an exact penalty: its optimum is -1/2, at x = 1/2."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_rows_report_the_error_to_the_optimum(self, n):
+        cfg = ExperimentConfig(
+            experiment="num3_demo", n=n, sigma_list=[0.0, 0.5], T_list=[100, 1000],
+            seeds=[0, 1], algorithms=["pfw"],
+        )
+        points = run_experiment(cfg)
+        assert len(points) == 8
+        for p in points:
+            assert p.error.hex() == (p.f_xbar + 0.5).hex()
+            assert 0.0 <= p.error <= p.bound
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_objective_is_minus_half_at_the_center(self, n):
+        _, objective, f_star = num3_instance(n)
+        assert f_star == -0.5
+        assert objective.value(np.full(n, 0.5)) == -0.5
+
+    def test_no_vertex_or_grid_point_scores_below_the_optimum(self):
+        for n in range(1, 11):
+            _, objective, f_star = num3_instance(n)
+            vertices = itertools.product((0.0, 1.0), repeat=n)
+            assert min(objective.value(np.array(v)) for v in vertices) >= f_star
+        _, objective, f_star = num3_instance(2)
+        grid = [i / 100 for i in range(101)]
+        assert min(objective.value(np.array([a, b])) for a in grid for b in grid) == f_star
+
+    def test_mean_error_is_positive_and_falls_with_T(self):
+        cfg = ExperimentConfig(
+            experiment="num3_demo", n=10, sigma_list=[0.0], T_list=[100, 1000, 10000],
+            seeds=[0], algorithms=["pfw"],
+        )
+        (series,) = series_means(run_experiment(cfg)).values()
+        errors = [v for _, v, _ in series]
+        assert [T for T, _, _ in series] == [100, 1000, 10000]
+        assert 0.0 < errors[2] < errors[1] < errors[0]
 
 
 class TestCsv:
@@ -362,10 +411,17 @@ class TestCli:
             ("run", json.dumps(dict(CLI_CONFIG, sigma_list=0.5)), "sigma_list"),
             ("run", json.dumps(dict(CLI_CONFIG, algorithms="pfw")), "algorithms"),
             ("run", json.dumps(dict(CLI_CONFIG, output_dir=5)), "output_dir"),
-            ("run", json.dumps(dict(CLI_CONFIG, gamma=float("nan"))), "gamma"),
+            ("run", json.dumps(dict(CLI_CONFIG, gamma=10.0)), "unknown config keys"),
             ("run", json.dumps(dict(CLI_CONFIG, sigma_list=[float("nan")])),
              "sigma_list"),
             ("run", json.dumps(dict(CLI_CONFIG, tau=float("inf"))), "tau"),
+            ("run", json.dumps(dict(CLI_CONFIG, m=-5)), "m has"),
+            ("run", json.dumps(dict(CLI_CONFIG, tau=-2.0)), "tau has"),
+            # a repeated entry would run its cells twice
+            ("run", json.dumps(dict(CLI_CONFIG, sigma_list=[0.5, 0.5])), "sigma_list has"),
+            ("run", json.dumps(dict(CLI_CONFIG, seeds=[0, 0])), "seeds has"),
+            ("run", json.dumps(dict(CLI_CONFIG, algorithms=["pfw", "pfw"])),
+             "algorithms has"),
             # valid, but sigma^2 overflows: the implied bound B is inf
             ("run", json.dumps(dict(CLI_CONFIG, sigma_list=[1e200])),
              "second_moment has an invalid value: inf"),
@@ -391,7 +447,9 @@ class TestCli:
              "line 2: n has"),
         ],
         ids=["n_str", "T_float", "sigma_scalar", "algorithms_str",
-             "output_dir_int", "gamma_nan", "sigma_nan", "tau_inf", "sigma_overflow",
+             "output_dir_int", "gamma_removed", "sigma_nan", "tau_inf", "m_negative",
+             "tau_negative", "sigma_repeated", "seeds_repeated", "algorithms_repeated",
+             "sigma_overflow",
              "seeds_negative",
              "seeds_bool", "seeds_float", "seeds_none", "top_level_list",
              "n_missing", "num3_n_over_cap",
