@@ -74,6 +74,8 @@ _FIELD_RULES = {
     "seeds": _each(_NONNEGATIVE_INT),
     "algorithms": _each((lambda v: v in ALGORITHMS, f"one of {ALGORITHMS}")),
 }
+# fields an experiment never reads: held at their defaults, as m is in every row
+_UNREAD = {"hypercube_l1": ("m", "tau"), "num3_demo": ("m", "tau", "omega_mode")}
 
 
 @dataclass
@@ -93,6 +95,9 @@ class ExperimentConfig:
         for name, rule in _FIELD_RULES.items():
             _check(rule, ConfigError, **{name: getattr(self, name)})
         # the rules that tie fields together
+        for name in _UNREAD.get(self.experiment, ()):
+            if getattr(self, name) != self.__dataclass_fields__[name].default:
+                raise ConfigError(f"{name} is not read by {self.experiment}; leave it out")
         if self.T_list != sorted(self.T_list):
             raise ConfigError("T_list must be strictly increasing")
         if self.experiment == "nuclear_l1" and not (self.m >= 1 and self.tau > 0):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ _LANCZOS_TOL = 1e-8
 _LANCZOS_CHECK_EVERY = 4
 
 
-@dataclass(frozen=True)
-class SvdTriplet:
+class SvdTriplet(NamedTuple):
     """Leading singular triplet (u1, s1, v1) with unit-norm vectors."""
 
     u1: np.ndarray
@@ -97,12 +96,14 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
     B = _narrow(A)
     v = _lanczos_top(B) if B.shape[1] > _DENSE_MAX_DIM else None
     if v is None:
-        v = _dense_top(B)
-    u = B @ v
-    s = math.sqrt(u.dot(u))
+        v, u, uu = _dense_top(B)
+    else:
+        u = B @ v
+        uu = u.dot(u)
+    s = math.sqrt(uu)
     u = u / s if s > 0.0 else np.full(u.size, u.size**-0.5)
     s = math.ldexp(s, exponent)
-    return SvdTriplet(u1=u, s1=s, v1=v) if B is A else SvdTriplet(u1=v, s1=s, v1=u)
+    return SvdTriplet(u, s, v) if B is A else SvdTriplet(v, s, u)
 
 
 def _narrow(A: np.ndarray) -> np.ndarray:
@@ -119,10 +120,11 @@ def gram_eigh(A: np.ndarray):
     return B, np.linalg.eigh(B.T @ B)[1]
 
 
-def _dense_top(B: np.ndarray) -> np.ndarray:
-    """Top eigenvector of ``G = B.T @ B``: its eigenvalue theta by
-    ``eigvalsh``, then one solve of ``(G - theta (1 + _SHIFT) I) v = q`` from
-    the fixed start q, which is inverse iteration shifted just past theta.
+def _dense_top(B: np.ndarray):
+    """``(v, B @ v, ||B v||^2)`` with v the top eigenvector of ``G = B.T @ B``:
+    its eigenvalue theta by ``eigvalsh``, then one solve of
+    ``(G - theta (1 + _SHIFT) I) v = q`` from the fixed start q, which is
+    inverse iteration shifted just past theta.
 
     ``v`` is kept when ``||B v||^2 >= theta (1 - _CERTIFY)``: a Rayleigh
     quotient that close to the top eigenvalue pins ``s1`` however the
@@ -133,7 +135,7 @@ def _dense_top(B: np.ndarray) -> np.ndarray:
     G = B.T @ B
     theta = np.linalg.eigvalsh(G)[-1]
     if theta > 0.0:
-        G.flat[:: n + 1] -= theta * (1.0 + _SHIFT)
+        G.reshape(-1)[:: n + 1] -= theta * (1.0 + _SHIFT)  # a view: G is fresh, C-ordered
         try:
             v = np.linalg.solve(G, _start_vector(n))
         except np.linalg.LinAlgError:  # the shifted matrix is singular
@@ -141,9 +143,12 @@ def _dense_top(B: np.ndarray) -> np.ndarray:
         else:
             v /= math.sqrt(v.dot(v))
             u = B @ v
-            if u.dot(u) >= theta * (1.0 - _CERTIFY):
-                return v
-    return gram_eigh(B)[1][:, -1]
+            uu = u.dot(u)
+            if uu >= theta * (1.0 - _CERTIFY):
+                return v, u, uu
+    v = gram_eigh(B)[1][:, -1]
+    u = B @ v
+    return v, u, u.dot(u)
 
 
 @functools.lru_cache(maxsize=16)  # bounded: a sweep over sizes must not grow it

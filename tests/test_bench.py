@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import re
@@ -59,6 +60,12 @@ class TestConfigValidation:
     def test_nuclear_needs_tau(self):
         with pytest.raises(ConfigError):
             small_config(experiment="nuclear_l1", m=5).validate()
+
+    def test_unread_fields_at_their_defaults_pass(self):
+        # perfbench validates asdict(config), which carries every field
+        for cfg in (small_config(m=0, tau=0.0, omega_mode="inside"),
+                    small_config(experiment="num3_demo", n=3, algorithms=["pfw"])):
+            ExperimentConfig(**dataclasses.asdict(cfg)).validate()
 
     def test_num3_rejects_pgd(self):
         with pytest.raises(ConfigError):
@@ -417,6 +424,11 @@ class TestCli:
             ("run", json.dumps(dict(CLI_CONFIG, tau=float("inf"))), "tau"),
             ("run", json.dumps(dict(CLI_CONFIG, m=-5)), "m has"),
             ("run", json.dumps(dict(CLI_CONFIG, tau=-2.0)), "tau has"),
+            # hypercube_l1 reads omega_mode only, num3_demo none of the three
+            ("run", json.dumps(dict(CLI_CONFIG, m=7)), "m is not read by hypercube_l1"),
+            ("run", json.dumps(dict(CLI_CONFIG, tau=3.0)), "tau is not read"),
+            ("run", json.dumps(dict(CLI_CONFIG, experiment="num3_demo", omega_mode="inside")),
+             "omega_mode is not read by num3_demo"),
             # a repeated entry would run its cells twice
             ("run", json.dumps(dict(CLI_CONFIG, sigma_list=[0.5, 0.5])), "sigma_list has"),
             ("run", json.dumps(dict(CLI_CONFIG, seeds=[0, 0])), "seeds has"),
@@ -448,7 +460,8 @@ class TestCli:
         ],
         ids=["n_str", "T_float", "sigma_scalar", "algorithms_str",
              "output_dir_int", "gamma_removed", "sigma_nan", "tau_inf", "m_negative",
-             "tau_negative", "sigma_repeated", "seeds_repeated", "algorithms_repeated",
+             "tau_negative", "m_unread", "tau_unread", "omega_mode_unread",
+             "sigma_repeated", "seeds_repeated", "algorithms_repeated",
              "sigma_overflow",
              "seeds_negative",
              "seeds_bool", "seeds_float", "seeds_none", "top_level_list",

@@ -1,3 +1,6 @@
+import functools
+import inspect
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 
 from pfopt import (
     NuclearBall,
+    SvdTriplet,
     full_svd,
     l1_distance,
     nuclear_norm,
@@ -47,6 +51,73 @@ _DENSE_FAMILIES = {
 # the unscaled Gram matrix's entries underflow or lose digits, and 1e154,
 # where they overflow
 _SWEEP = np.append(10.0 ** np.arange(-300, 301, 5), 1e154)
+
+
+def _start_blind_dense(n):
+    """3 u w^T + u2 q^T with q the fixed start vector and w a unit vector
+    orthogonal to it: q is an eigenvector of the Gram matrix (value 1,
+    against 9 on w), so the shifted solve returns q, whose Rayleigh quotient
+    fails the certificate, and eigh takes over."""
+    q = _start_vector(n)
+    w = np.zeros(n)
+    w[:2] = q[1], -q[0]
+    w /= np.linalg.norm(w)
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    u2 = rng.standard_normal(n)
+    u2 -= (u2 @ u) * u
+    u2 /= np.linalg.norm(u2)
+    return 3.0 * np.outer(u, w) + np.outer(u2, q)
+
+
+@functools.lru_cache(maxsize=1)
+def _drift_matrices():
+    """The drift matrices -Q that pfw steers by on criterion 5's 20 x 20
+    instance at T = 300, taken from its recorded iterates."""
+    k, tau = 20, 5.0
+    ball = NuclearBall(k, k, tau)
+    W = np.random.default_rng(55).standard_normal((k, k))
+    W *= 2 * tau / nuclear_norm(W)
+    obj = l1_distance(W.ravel())
+    trace = pfw_run(
+        obj, ball, params_deterministic(obj.lipschitz, ball.radius, 300),
+        ball.center, record_iterates=True,
+    )
+    return [-Q.reshape(k, k) for Q in trace.iterates.qs if Q.any()]
+
+
+def _reference_dense_triplet(A):
+    """top_singular_triplet's dense path written out as it read before it
+    reused its certificate's product: the shift through G.flat, the solve,
+    normalisation, the certificate, eigh where that fails, and then B @ v
+    computed again for u1 and s1.  Returns (u1, s1, v1)."""
+    A = np.asarray(A, dtype=float)
+    exponent = 0
+    if not linalg._BAND[0] <= np.vdot(A, A) <= linalg._BAND[1]:
+        largest = np.abs(A).max()
+        if largest > 0.0:
+            exponent = math.frexp(largest)[1]
+            A = np.ldexp(A, -exponent)
+    B = A if A.shape[1] <= A.shape[0] else A.T
+    n = B.shape[1]
+    G = B.T @ B
+    theta = np.linalg.eigvalsh(G)[-1]
+    v = None
+    if theta > 0.0:
+        G.flat[:: n + 1] -= theta * (1.0 + linalg._SHIFT)
+        w = np.linalg.solve(G, _start_vector(n))
+        w /= math.sqrt(w.dot(w))
+        u = B @ w
+        if u.dot(u) >= theta * (1.0 - linalg._CERTIFY):
+            v = w
+    if v is None:
+        v = np.linalg.eigh(B.T @ B)[1][:, -1]
+    u = B @ v
+    s = math.sqrt(u.dot(u))
+    u = u / s if s > 0.0 else np.full(u.size, u.size**-0.5)
+    s = math.ldexp(s, exponent)
+    return (u, s, v) if B is A else (v, s, u)
 
 
 def _count_fallbacks(monkeypatch):
@@ -186,6 +257,20 @@ class TestTopSingularTriplet:
         # rather than trust a Ritz value from that space
         assert _lanczos_top(blind_start_matrix) is None
 
+    def test_returns_a_frozen_triplet(self):
+        # the field order is the constructor's, whatever type holds them
+        assert list(inspect.signature(SvdTriplet).parameters) == ["u1", "s1", "v1"]
+        rng = np.random.default_rng(4)
+        wide = (_DENSE_MAX_DIM + 1, _DENSE_MAX_DIM + 2)
+        # dense path, Lanczos path, zero matrix
+        for A in [rng.standard_normal((6, 4)), rng.standard_normal(wide), np.zeros((3, 3))]:
+            t = top_singular_triplet(A)
+            assert isinstance(t, SvdTriplet)
+            assert type(t.s1) is float
+            for name in ("u1", "s1", "v1"):
+                with pytest.raises(AttributeError):
+                    setattr(t, name, None)
+
     def test_rejects_non_finite(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
@@ -212,22 +297,8 @@ class TestDensePath:
         assert sigma1 - s1 <= 1e-13 * sigma1
 
     def test_start_blind_to_the_top_direction(self, monkeypatch):
-        # 3 u w^T + u2 q^T with q the fixed start vector and w a unit vector
-        # orthogonal to it: q is an eigenvector of the Gram matrix (value 1,
-        # against 9 on w), so the shifted solve returns q, whose Rayleigh
-        # quotient fails the certificate, and eigh takes over
         n = 20
-        q = _start_vector(n)
-        w = np.zeros(n)
-        w[:2] = q[1], -q[0]
-        w /= np.linalg.norm(w)
-        rng = np.random.default_rng(7)
-        u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        u2 = rng.standard_normal(n)
-        u2 -= (u2 @ u) * u
-        u2 /= np.linalg.norm(u2)
-        A = 3.0 * np.outer(u, w) + np.outer(u2, q)
+        A = _start_blind_dense(n)
         fallbacks = _count_fallbacks(monkeypatch)
         t = top_singular_triplet(A)
         assert fallbacks == [(n, n)]
@@ -269,23 +340,46 @@ class TestDensePath:
         assert fallbacks == []
 
     def test_no_fallback_on_solver_drift(self, monkeypatch):
-        # criterion 5's 20 x 20 instance at T = 300: every drift matrix pfw
-        # steers by is certified without eigh
-        k, tau = 20, 5.0
-        ball = NuclearBall(k, k, tau)
-        W = np.random.default_rng(55).standard_normal((k, k))
-        W *= 2 * tau / nuclear_norm(W)
-        obj = l1_distance(W.ravel())
-        trace = pfw_run(
-            obj, ball, params_deterministic(obj.lipschitz, ball.radius, 300),
-            ball.center, record_iterates=True,
-        )
-        drifts = [-Q.reshape(k, k) for Q in trace.iterates.qs if Q.any()]
+        # every drift matrix pfw steers by is certified without eigh
+        drifts = _drift_matrices()
         assert len(drifts) >= 298
         fallbacks = _count_fallbacks(monkeypatch)
         for A in drifts:
             top_singular_triplet(A)
         assert fallbacks == []
+
+    def test_bits_match_the_reference_transcription(self, monkeypatch):
+        # the drift matrices; tall and wide Gaussians (B is A, B is A.T); a
+        # start-blind matrix and a zero one, where eigh answers; an input
+        # scaled out of _BAND
+        rng = np.random.default_rng(8)
+        tiny = 1e-160 * rng.standard_normal((20, 20))
+        assert np.vdot(tiny, tiny) < linalg._BAND[0]
+        cases = _drift_matrices() + [
+            rng.standard_normal((20, 7)),
+            rng.standard_normal((7, 20)),
+            _start_blind_dense(20),
+            np.zeros((5, 3)),
+            tiny,
+        ]
+        fallbacks = _count_fallbacks(monkeypatch)
+        for A in cases:
+            t = top_singular_triplet(A)
+            u1, s1, v1 = _reference_dense_triplet(A)
+            assert t.u1.tobytes() == u1.tobytes()
+            assert t.v1.tobytes() == v1.tobytes()
+            assert t.s1.hex() == s1.hex()
+        assert fallbacks == [(20, 20), (5, 3)]
+
+    def test_residual_on_solver_drift(self):
+        # one solve leaves components of about (theta's error + shift) / gap
+        # on the other eigenvectors: v is accurate to the value, not to
+        # eigh's 4e-15
+        for A in _drift_matrices():
+            v = top_singular_triplet(A).v1
+            G = A.T @ A
+            theta = np.linalg.eigvalsh(G)[-1]
+            assert np.linalg.norm(G @ v - theta * v) <= 1e-10 * theta
 
 
 class TestFullSvd:
