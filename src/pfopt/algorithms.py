@@ -17,6 +17,7 @@ from .core import (
     UnsupportedSetError,
     _POSITIVE,
     _POSITIVE_INT,
+    _aligned_empty,
     _as_flat,
     _check,
 )
@@ -107,12 +108,7 @@ def _drift_steps(get_subgrad, feasible_set: FeasibleSet, params: PfwParams, x):
     """
     lmo, size = feasible_set.lmo, x.size
     y = x.copy()
-    # D starts on a 64-byte boundary: top_singular_triplet on a 300 x 300
-    # direction took 490 us there and 580 us 16 bytes off a 32-byte one
-    # (one BLAS thread), and a fresh array lands wherever malloc puts it
-    buf = np.empty(size + 8)
-    start = (-buf.ctypes.data % 64) // 8
-    D = buf[start:start + size]
+    D = _aligned_empty((size,))  # the LMO's operand, so on a 64-byte boundary
     D[...] = -0.0
     # 0-d float64 arrays: numpy takes them as operands faster than Python
     # floats or np.float64 scalars (y * alpha 385 ns against 588 and 556 ns,

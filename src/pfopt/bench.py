@@ -68,7 +68,6 @@ _FIELD_RULES = {
     "m": _NONNEGATIVE_INT,
     "tau": _NONNEGATIVE,
     "omega_mode": (lambda v: v in ("inside", "outside"), "'inside' or 'outside'"),
-    "output_dir": (lambda v: isinstance(v, str), "a string"),
     "sigma_list": _each(_NONNEGATIVE),
     "T_list": _each(_POSITIVE_INT),
     "seeds": _each(_NONNEGATIVE_INT),
@@ -78,7 +77,7 @@ _FIELD_RULES = {
 _UNREAD = {"hypercube_l1": ("m", "tau"), "num3_demo": ("m", "tau", "omega_mode")}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     n: int
@@ -86,10 +85,12 @@ class ExperimentConfig:
     T_list: List[int]
     seeds: List[int]
     algorithms: List[str]
-    output_dir: str = "bench_out"
     m: int = 0
     tau: float = 0.0
     omega_mode: str = "outside"
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         for name, rule in _FIELD_RULES.items():
@@ -117,11 +118,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            cfg = cls(**raw)
+            return cls(**raw)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-        cfg.validate()
-        return cfg
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,6 @@ _BUILDERS = {
 
 def run_experiment(config: ExperimentConfig) -> List[CurvePoint]:
     """Run every (sigma, T, seed, algorithm) cell of the config."""
-    config.validate()
     fs, objective, f_star = _BUILDERS[config.experiment](config)
     x1 = fs.center
     G, R = objective.lipschitz, fs.radius
@@ -455,11 +453,9 @@ def _environment() -> dict:
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    if args.output_dir:
-        config.output_dir = args.output_dir
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     points = run_experiment(config)
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)  # only now: a failed run leaves none
     csv_path = out / f"{config.experiment}.csv"
     svg_path = out / f"{config.experiment}.svg"
     write_csv(points, csv_path)
@@ -471,11 +467,8 @@ def _cmd_run(args) -> int:
         for p in _sorted(points)
     ]
     (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
-    meta = dict(asdict(config))
-    meta["anchor_generation"] = {
-        "mode": config.omega_mode,
-        "rng": "pcg64 seeded from [seeds[0], 0x0FF5E7]",
-    }
+    meta = asdict(config)
+    meta["anchor_generation"] = {"rng": "pcg64 seeded from [seeds[0], 0x0FF5E7]"}
     meta["environment"] = _environment()
     (out / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"wrote {csv_path} and {svg_path} ({len(points)} cells)")
@@ -500,7 +493,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command")
     p_run = sub.add_parser("run", help="run an experiment config (JSON)")
     p_run.add_argument("config")
-    p_run.add_argument("--output-dir", default=None)
+    p_run.add_argument("--output-dir", default="bench_out")
     p_plot = sub.add_parser("plot", help="re-render an SVG from an emitted CSV")
     p_plot.add_argument("csv")
     p_plot.add_argument("out")

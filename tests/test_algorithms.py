@@ -176,6 +176,22 @@ class TestPfwRun:
         pfw_run(obj, fs, params_deterministic(obj.lipschitz, fs.radius, 200), fs.center)
         assert fs.project_calls == 0
 
+    @pytest.mark.parametrize("n", [1, 3, 10, 100])
+    def test_lmo_direction_is_64_byte_aligned(self, n):
+        # the drift rule hands the LMO one buffer, D, on a 64-byte boundary
+        fs, obj, _ = hypercube_problem(n)
+        lmo, seen = fs.lmo, []
+
+        def recording_lmo(d):
+            seen.append((d.ctypes.data, d.flags.c_contiguous))
+            return lmo(d)
+
+        fs.lmo = recording_lmo
+        pfw_run(obj, fs, params_deterministic(obj.lipschitz, fs.radius, 5), fs.center)
+        assert len(seen) == 4 and len(set(seen)) == 1  # T - 1 steps
+        address, contiguous = seen[0]
+        assert address % 64 == 0 and contiguous
+
     def test_drift_identity(self):
         fs, obj, _ = hypercube_problem(6)
         T = 300

@@ -39,27 +39,44 @@ class TestConfigValidation:
     def test_valid(self):
         small_config().validate()
 
+    # a config is validated on construction, so each rule below raises
+    # before the test could call validate()
     def test_empty_sigma_list(self):
         with pytest.raises(ConfigError):
-            small_config(sigma_list=[]).validate()
+            small_config(sigma_list=[])
 
     def test_T_list_must_increase(self):
         with pytest.raises(ConfigError):
-            small_config(T_list=[100, 50]).validate()
+            small_config(T_list=[100, 50])
         with pytest.raises(ConfigError):
-            small_config(T_list=[50, 50]).validate()
+            small_config(T_list=[50, 50])
 
     def test_seeds_nonempty(self):
         with pytest.raises(ConfigError):
-            small_config(seeds=[]).validate()
+            small_config(seeds=[])
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
-            small_config(algorithms=["newton"]).validate()
+            small_config(algorithms=["newton"])
 
     def test_nuclear_needs_tau(self):
         with pytest.raises(ConfigError):
-            small_config(experiment="nuclear_l1", m=5).validate()
+            small_config(experiment="nuclear_l1", m=5)
+
+    def test_frozen_and_valid_from_construction(self):
+        cfg = small_config()
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "experiment", "n", "sigma_list", "T_list", "seeds", "algorithms",
+            "m", "tau", "omega_mode"]
+        for name, value in [("n", 20), ("seeds", [2]), ("omega_mode", "inside")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+        assert cfg == small_config()
+        # constructing the config is what raises; validate() is never called
+        with pytest.raises(ConfigError, match="n has an invalid value"):
+            small_config(n=0)
+        with pytest.raises(ConfigError, match="tau is not read by hypercube_l1"):
+            small_config(tau=1.0)
 
     def test_unread_fields_at_their_defaults_pass(self):
         # perfbench validates asdict(config), which carries every field
@@ -69,7 +86,7 @@ class TestConfigValidation:
 
     def test_num3_rejects_pgd(self):
         with pytest.raises(ConfigError):
-            small_config(experiment="num3_demo", n=3).validate()
+            small_config(experiment="num3_demo", n=3)
 
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -321,14 +338,13 @@ CSV_ROW = "hypercube_l1,pfw,10,0,0.0,100,1,1.25,0.5,2.0"
 
 class TestCli:
     def write_config(self, tmp_path, **overrides):
-        cfg = dict(
-            experiment="hypercube_l1", n=6, sigma_list=[0.0], T_list=[50],
-            seeds=[1], algorithms=["pfw"], output_dir=str(tmp_path / "out"),
-        )
-        cfg.update(overrides)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(dict(CLI_CONFIG, **overrides)))
         return path
+
+    def run(self, cfg, tmp_path):
+        """Run cfg into tmp_path / "out"."""
+        return main(["run", str(cfg), "--output-dir", str(tmp_path / "out")])
 
     def test_list_experiments(self, capsys):
         assert main(["--list-experiments"]) == 0
@@ -337,7 +353,7 @@ class TestCli:
 
     def test_run_writes_outputs(self, tmp_path):
         cfg = self.write_config(tmp_path)
-        assert main(["run", str(cfg)]) == 0
+        assert self.run(cfg, tmp_path) == 0
         out = tmp_path / "out"
         assert (out / "hypercube_l1.csv").exists()
         assert (out / "hypercube_l1.svg").exists()
@@ -346,8 +362,13 @@ class TestCli:
     def test_metadata_records_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        assert main(["run", str(self.write_config(tmp_path))]) == 0
+        assert self.run(self.write_config(tmp_path), tmp_path) == 0
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        # the config's fields, and nothing of where its files went
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(meta) == fields | {"anchor_generation", "environment"}
+        assert {k: meta[k] for k in CLI_CONFIG} == CLI_CONFIG
+        assert meta["anchor_generation"] == {"rng": "pcg64 seeded from [seeds[0], 0x0FF5E7]"}
         env = meta["environment"]
         assert sorted(env) == ["blas", "blas_threads", "git_revision", "numpy"]
         assert env["numpy"] == np.__version__
@@ -362,7 +383,7 @@ class TestCli:
             tmp_path, sigma_list=[0.0, 0.5], T_list=[20, 50], seeds=[1, 2],
             algorithms=["pfw", "pgd"],
         )
-        assert main(["run", str(cfg)]) == 0
+        assert self.run(cfg, tmp_path) == 0
         out = tmp_path / "out"
         header, *rows = (out / "hypercube_l1.csv").read_text().splitlines()
         assert header == CSV_HEADER and "wallclock" not in header
@@ -375,11 +396,30 @@ class TestCli:
             )
             assert entry["wallclock_ms"] > 0.0
 
-    def test_output_dir_override(self, tmp_path):
+    def test_output_dir_override(self, tmp_path, monkeypatch):
+        # without --output-dir a run writes into ./bench_out
         cfg = self.write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(cfg)]) == 0
+        assert (tmp_path / "bench_out" / "hypercube_l1.csv").exists()
         override = tmp_path / "elsewhere"
         assert main(["run", str(cfg), "--output-dir", str(override)]) == 0
         assert (override / "hypercube_l1.csv").exists()
+
+    @pytest.mark.parametrize("failure", ["sigma_overflow", "solver_error"])
+    def test_failed_run_leaves_no_output_dir(self, tmp_path, monkeypatch, failure):
+        # the output directory is made only after the run returns
+        if failure == "solver_error":
+            def fail(*args, **kwargs):
+                raise SolverError("iterate became non-finite", 1)
+
+            monkeypatch.setattr(pfopt.bench, "pfw_run_stochastic", fail)
+            cfg, code = self.write_config(tmp_path), 3
+        else:
+            cfg, code = self.write_config(tmp_path, sigma_list=[1e200]), 2
+        out = tmp_path / "nested" / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out)]) == code
+        assert not (tmp_path / "nested").exists()
 
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = self.write_config(tmp_path, sigma_list=[])
@@ -390,7 +430,7 @@ class TestCli:
 
     def test_plot_subcommand(self, tmp_path):
         cfg = self.write_config(tmp_path)
-        main(["run", str(cfg)])
+        assert self.run(cfg, tmp_path) == 0
         csv = tmp_path / "out" / "hypercube_l1.csv"
         svg = tmp_path / "re.svg"
         assert main(["plot", str(csv), str(svg)]) == 0
@@ -407,7 +447,7 @@ class TestCli:
 
         monkeypatch.setattr(pfopt.bench, "pfw_run_stochastic", fail)
         cfg = self.write_config(tmp_path)
-        assert main(["run", str(cfg)]) == 3
+        assert self.run(cfg, tmp_path) == 3
         assert capsys.readouterr().err.startswith("solver error:")
 
     @pytest.mark.parametrize(
@@ -417,7 +457,8 @@ class TestCli:
             ("run", json.dumps(dict(CLI_CONFIG, T_list=[10.5])), "T_list"),
             ("run", json.dumps(dict(CLI_CONFIG, sigma_list=0.5)), "sigma_list"),
             ("run", json.dumps(dict(CLI_CONFIG, algorithms="pfw")), "algorithms"),
-            ("run", json.dumps(dict(CLI_CONFIG, output_dir=5)), "output_dir"),
+            # where the files go is --output-dir, not the config
+            ("run", json.dumps(dict(CLI_CONFIG, output_dir="out")), "unknown config keys"),
             ("run", json.dumps(dict(CLI_CONFIG, gamma=10.0)), "unknown config keys"),
             ("run", json.dumps(dict(CLI_CONFIG, sigma_list=[float("nan")])),
              "sigma_list"),
@@ -459,7 +500,7 @@ class TestCli:
              "line 2: n has"),
         ],
         ids=["n_str", "T_float", "sigma_scalar", "algorithms_str",
-             "output_dir_int", "gamma_removed", "sigma_nan", "tau_inf", "m_negative",
+             "output_dir_removed", "gamma_removed", "sigma_nan", "tau_inf", "m_negative",
              "tau_negative", "m_unread", "tau_unread", "omega_mode_unread",
              "sigma_repeated", "seeds_repeated", "algorithms_repeated",
              "sigma_overflow",

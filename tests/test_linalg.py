@@ -257,6 +257,22 @@ class TestTopSingularTriplet:
         # rather than trust a Ritz value from that space
         assert _lanczos_top(blind_start_matrix) is None
 
+    def test_lanczos_runs_to_full_dimension(self):
+        # 116 singular values within 1e-7 of one another: the residual never
+        # falls below the stop test, so Lanczos spends all n - 1 steps and
+        # hands over to the dense path, which still resolves sigma1
+        n = 116
+        rng = np.random.default_rng(1)
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        B = (U * (1.0 + 1e-7 * np.arange(n) / n)) @ V.T
+        assert n > _DENSE_MAX_DIM
+        assert _lanczos_top(B) is None
+        t = top_singular_triplet(B)
+        sigma1 = np.linalg.svd(B, compute_uv=False)[0]
+        assert abs(t.s1 - sigma1) <= 1e-15 * sigma1
+        assert np.linalg.norm(B @ t.v1 - t.s1 * t.u1) <= 1e-12
+
     def test_returns_a_frozen_triplet(self):
         # the field order is the constructor's, whatever type holds them
         assert list(inspect.signature(SvdTriplet).parameters) == ["u1", "s1", "v1"]

@@ -465,6 +465,13 @@ class TestVertexPolytope:
                     best, best_val = v, val
             assert np.array_equal(out, best)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (20, 5), (1024, 10), (7, 33)])
+    def test_vertices_are_column_major_on_a_64_byte_boundary(self, shape):
+        rows = np.random.default_rng(5).standard_normal(shape)
+        vertices = VertexPolytope(rows).vertices
+        assert vertices.flags.f_contiguous and vertices.ctypes.data % 64 == 0
+        assert vertices.dtype == np.float64 and np.array_equal(vertices, rows)
+
     def test_lmo_returns_a_fresh_contiguous_vertex(self):
         poly = VertexPolytope(self.triangle)
         assert poly.vertices.flags.f_contiguous
