@@ -2,10 +2,9 @@
 decomposition, nuclear norm.
 
 ``top_singular_triplet`` solves for the top eigenvector of the smaller Gram
-matrix.  Up to ``_DENSE_MAX_DIM`` columns it takes the top eigenvalue by
-``eigvalsh`` and the vector by one shifted inverse-iteration solve, certified
-by its Rayleigh quotient; above it, Lanczos.  Either hands over to a full
-``eigh`` where its result cannot be trusted.
+matrix.  Past ``_DENSE_MAX_DIM`` columns Lanczos tries first; then the top
+eigenvalue by ``eigvalsh`` and one shifted inverse-iteration solve.  Each
+certifies its vector or declines, and where both decline ``eigh`` answers.
 """
 
 from __future__ import annotations
@@ -71,16 +70,14 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
 
     With ``B`` the one of ``A`` and ``A.T`` with fewer columns and ``v`` the
     top eigenvector of ``B.T @ B``: ``s1 = ||B v||`` and ``u = B v / s1``, so
-    ``s1 <= sigma1`` and ``<A, u1 v1^T> = s1`` to rounding.  The dense path
-    keeps its solve's ``v`` only where ``s1^2`` comes within 1e-13 of the
-    top eigenvalue, relative, and takes ``eigh``'s otherwise.  The Lanczos
-    path renormalises its Ritz vector ``v``, so ``||v1|| = 1`` and
-    ``s1 <= sigma1`` hold however far its basis's orthogonality has drifted.
-    A zero matrix gives ``s1 = 0`` with unit vectors.  A matrix whose
-    ``||A||_F^2`` lies outside ``_BAND``, or overflows, is scaled by a power
-    of two first, so every finite scale is served.  Deterministic.  Raises
-    ValueError on non-finite input; a LAPACK failure surfaces as
-    LinAlgError.
+    ``s1 <= sigma1`` and ``<A, u1 v1^T> = s1`` to rounding.  ``v`` is the
+    first certified one of Lanczos (past ``_DENSE_MAX_DIM`` columns) and the
+    dense path, else ``gram_eigh``'s top column.  A zero matrix stops at the
+    scale check: ``s1 = 0``, ``u`` with equal entries and ``v`` the last
+    basis vector (swapped if ``A`` is wide).  If ``||A||_F^2`` leaves
+    ``_BAND``, A is scaled by a power of two first, so every finite scale is
+    served.  Deterministic.  Raises ValueError on non-finite input; a LAPACK
+    failure surfaces as LinAlgError.
     """
     A = np.asarray(A, dtype=float)
     exponent = 0
@@ -90,18 +87,22 @@ def top_singular_triplet(A: np.ndarray) -> SvdTriplet:
         largest = np.abs(A).max()
         if not math.isfinite(largest):
             raise ValueError("matrix has non-finite entries")
-        if largest > 0.0:
-            exponent = math.frexp(largest)[1]
-            A = np.ldexp(A, -exponent)
+        if largest == 0.0:
+            B = _narrow(A)
+            u, v = np.full(B.shape[0], B.shape[0] ** -0.5), np.zeros(B.shape[1])
+            v[-1] = 1.0
+            return SvdTriplet(u, 0.0, v) if B is A else SvdTriplet(v, 0.0, u)
+        exponent = math.frexp(largest)[1]
+        A = np.ldexp(A, -exponent)
     B = _narrow(A)
-    v = _lanczos_top(B) if B.shape[1] > _DENSE_MAX_DIM else None
-    if v is None:
-        v, u, uu = _dense_top(B)
-    else:
+    top = (_lanczos_top(B) if B.shape[1] > _DENSE_MAX_DIM else None) or _dense_top(B)
+    if top is None:  # both solvers declined
+        v = gram_eigh(B)[1][:, -1]
         u = B @ v
-        uu = u.dot(u)
+        top = v, u, u.dot(u)
+    v, u, uu = top
     s = math.sqrt(uu)
-    u = u / s if s > 0.0 else np.full(u.size, u.size**-0.5)
+    u = u / s
     s = math.ldexp(s, exponent)
     return SvdTriplet(u, s, v) if B is A else SvdTriplet(v, s, u)
 
@@ -121,34 +122,29 @@ def gram_eigh(A: np.ndarray):
 
 
 def _dense_top(B: np.ndarray):
-    """``(v, B @ v, ||B v||^2)`` with v the top eigenvector of ``G = B.T @ B``:
-    its eigenvalue theta by ``eigvalsh``, then one solve of
+    """``(v, B @ v, ||B v||^2)`` with v the top eigenvector of ``G = B.T @ B``,
+    or None: its eigenvalue theta by ``eigvalsh``, then one solve of
     ``(G - theta (1 + _SHIFT) I) v = q`` from the fixed start q, which is
     inverse iteration shifted just past theta.
 
-    ``v`` is kept when ``||B v||^2 >= theta (1 - _CERTIFY)``: a Rayleigh
+    ``v`` is certified when ``||B v||^2 >= theta (1 - _CERTIFY)``: a Rayleigh
     quotient that close to the top eigenvalue pins ``s1`` however the
     solve's rounding mixed in eigenvectors of a close second eigenvalue.
-    Otherwise (a start with no weight on the top direction, a singular
-    shifted matrix, theta = 0) the top column of ``gram_eigh`` is taken."""
+    So ``v`` is accurate to the value, not to ``eigh``'s precision
+    (``||G v - theta v|| <= 1e-10 theta`` on pfw's drift matrices).  None
+    where the certificate fails or the shifted matrix is singular."""
     n = B.shape[1]
     G = B.T @ B
     theta = np.linalg.eigvalsh(G)[-1]
-    if theta > 0.0:
-        G.reshape(-1)[:: n + 1] -= theta * (1.0 + _SHIFT)  # a view: G is fresh, C-ordered
-        try:
-            v = np.linalg.solve(G, _start_vector(n))
-        except np.linalg.LinAlgError:  # the shifted matrix is singular
-            pass
-        else:
-            v /= math.sqrt(v.dot(v))
-            u = B @ v
-            uu = u.dot(u)
-            if uu >= theta * (1.0 - _CERTIFY):
-                return v, u, uu
-    v = gram_eigh(B)[1][:, -1]
+    G.reshape(-1)[:: n + 1] -= theta * (1.0 + _SHIFT)  # a view: G is fresh, C-ordered
+    try:
+        v = np.linalg.solve(G, _start_vector(n))
+    except np.linalg.LinAlgError:  # the shifted matrix is singular
+        return None
+    v /= math.sqrt(v.dot(v))
     u = B @ v
-    return v, u, u.dot(u)
+    uu = u.dot(u)
+    return (v, u, uu) if uu >= theta * (1.0 - _CERTIFY) else None
 
 
 @functools.lru_cache(maxsize=16)  # bounded: a sweep over sizes must not grow it
@@ -163,9 +159,10 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def _lanczos_top(B: np.ndarray):
-    """Top eigenvector of ``B.T @ B`` by Lanczos, or None if the Krylov space
-    turns invariant or nears full dimension first: the start may lack the top
-    direction, so theta_max need not be sigma1^2.
+    """``(v, B @ v, ||B v||^2)`` with v the top eigenvector of ``B.T @ B`` by
+    Lanczos, or None if the Krylov space turns invariant or nears full
+    dimension first: the start may lack the top direction, so theta_max need
+    not be sigma1^2.
 
     Each step makes one classical Gram-Schmidt pass against the whole basis.
     On pfw's 300 x 300 drift matrices that kept max |Q Q^T - I| at return
@@ -201,7 +198,9 @@ def _lanczos_top(B: np.ndarray):
             theta, S = np.linalg.eigh(T[: k + 1, : k + 1])
             if beta * abs(S[-1, -1]) <= _LANCZOS_TOL * theta[-1]:
                 v = S[:, -1] @ basis
-                return v / math.sqrt(v.dot(v))
+                v = v / math.sqrt(v.dot(v))
+                u = B @ v
+                return v, u, u.dot(u)
         T[k, k + 1] = T[k + 1, k] = beta
         q = w / beta
     return None

@@ -56,8 +56,9 @@ _SWEEP = np.append(10.0 ** np.arange(-300, 301, 5), 1e154)
 def _start_blind_dense(n):
     """3 u w^T + u2 q^T with q the fixed start vector and w a unit vector
     orthogonal to it: q is an eigenvector of the Gram matrix (value 1,
-    against 9 on w), so the shifted solve returns q, whose Rayleigh quotient
-    fails the certificate, and eigh takes over."""
+    against 9 on w), so Lanczos's first step finds an invariant space, the
+    shifted solve returns q, whose Rayleigh quotient fails the certificate,
+    and eigh takes over."""
     q = _start_vector(n)
     w = np.zeros(n)
     w[:2] = q[1], -q[0]
@@ -229,10 +230,12 @@ class TestTopSingularTriplet:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        v = _lanczos_top(A)
+        top = _lanczos_top(A)
         monkeypatch.undo()
-        assert v is not None
-        assert abs(np.linalg.norm(A @ v) - 1.0) <= 1e-12
+        assert top is not None
+        v, u, uu = top
+        assert np.array_equal(u, A @ v) and uu == u.dot(u)
+        assert abs(math.sqrt(uu) - 1.0) <= 1e-12
         assert tridiagonals
         for T in tridiagonals:
             theta = np.linalg.eigvalsh(T)
@@ -240,14 +243,48 @@ class TestTopSingularTriplet:
             assert np.all(theta <= gram[n - k:] + 1e-10)
             assert np.all(theta >= gram[:k] - 1e-10)
 
-    def test_zero_matrix_is_degenerate(self):
-        # dense path, then Lanczos path (wide, so u1 and v1 trade places)
-        for shape in [(3, 4), (_DENSE_MAX_DIM + 1, _DENSE_MAX_DIM + 2)]:
-            t = top_singular_triplet(np.zeros(shape))
-            assert t.s1 == 0.0
-            assert t.u1.shape == (shape[0],) and t.v1.shape == (shape[1],)
-            assert np.linalg.norm(t.u1) == pytest.approx(1.0)
-            assert np.linalg.norm(t.v1) == pytest.approx(1.0)
+    def test_zero_matrix_is_degenerate(self, monkeypatch):
+        # the scale check answers a zero matrix, so no solver and no eigh
+        # runs on either side of _DENSE_MAX_DIM: s1 = 0, the longer side
+        # (the left one if square) gets equal entries and the other the last
+        # basis vector
+        def never(*args):
+            raise AssertionError("a solver ran on a zero matrix")
+
+        for name in ("_lanczos_top", "_dense_top", "gram_eigh"):
+            monkeypatch.setattr(linalg, name, never)
+        k = _DENSE_MAX_DIM
+        for m, n in [(3, 3), (5, 3), (3, 5), (k + 1, k + 1), (k + 9, k + 1),
+                     (k + 1, k + 9), (k + 9, 2), (2, k + 9)]:
+            for A in (np.zeros((m, n)), -np.zeros((m, n))):
+                t = top_singular_triplet(A)
+                assert type(t.s1) is float and t.s1 == 0.0
+                flat, basis = (t.u1, t.v1) if m >= n else (t.v1, t.u1)
+                assert t.u1.shape == (m,) and t.v1.shape == (n,)
+                assert np.array_equal(flat, np.full(flat.size, flat.size**-0.5))
+                assert np.array_equal(basis, np.eye(basis.size)[-1])
+
+    def test_start_blind_past_the_dense_size(self, monkeypatch):
+        # blind to the top direction for both solvers: Lanczos declines,
+        # then the dense path, and eigh answers once
+        n = _DENSE_MAX_DIM + 1
+        A = _start_blind_dense(n)
+        calls = []
+
+        def counted(name):
+            solver = getattr(linalg, name)
+
+            def run(B):
+                calls.append(name)
+                return solver(B)
+            return run
+
+        for name in ("_lanczos_top", "_dense_top", "gram_eigh"):
+            monkeypatch.setattr(linalg, name, counted(name))
+        t = top_singular_triplet(A)
+        assert calls == ["_lanczos_top", "_dense_top", "gram_eigh"]
+        assert t.s1 == pytest.approx(3.0, rel=1e-14)
+        assert np.linalg.norm(A @ t.v1 - t.s1 * t.u1) <= 1e-13
 
     def test_start_blind_to_the_top_direction(self, blind_start_matrix):
         t = top_singular_triplet(blind_start_matrix)
@@ -366,8 +403,8 @@ class TestDensePath:
 
     def test_bits_match_the_reference_transcription(self, monkeypatch):
         # the drift matrices; tall and wide Gaussians (B is A, B is A.T); a
-        # start-blind matrix and a zero one, where eigh answers; an input
-        # scaled out of _BAND
+        # start-blind matrix, where eigh answers; a zero one, which the scale
+        # check answers; an input scaled out of _BAND
         rng = np.random.default_rng(8)
         tiny = 1e-160 * rng.standard_normal((20, 20))
         assert np.vdot(tiny, tiny) < linalg._BAND[0]
@@ -385,7 +422,7 @@ class TestDensePath:
             assert t.u1.tobytes() == u1.tobytes()
             assert t.v1.tobytes() == v1.tobytes()
             assert t.s1.hex() == s1.hex()
-        assert fallbacks == [(20, 20), (5, 3)]
+        assert fallbacks == [(20, 20)]
 
     def test_residual_on_solver_drift(self):
         # one solve leaves components of about (theta's error + shift) / gap
