@@ -105,8 +105,6 @@ class ExperimentConfig:
             raise ConfigError("nuclear_l1 needs m >= 1 and tau > 0")
         if self.experiment == "num3_demo" and self.n > 10:
             raise ConfigError("num3_demo vertex polytope is capped at n <= 10")
-        if self.experiment == "num3_demo" and "pgd" in self.algorithms:
-            raise ConfigError("num3_demo has no projection; only pfw applies")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

@@ -104,11 +104,11 @@ class FeasibleSet:
     and the solvers' start points are read at that size through ``_as_flat``.
     Subclasses must implement :meth:`lmo` and :meth:`contains`; every
     solver checks its start point with ``contains`` and rejects one outside
-    the set.  Sets with a cheap Euclidean projection also implement
-    :meth:`project` (left as None here so callers can test for the
-    capability).  What ``lmo`` and ``project`` return is a vector of
-    ``center.size`` entries in any array-like form; the solvers read it by
-    the same shape rule.
+    the set.  Every shipped set also implements the Euclidean projection
+    :meth:`project`; it is None here, so a set with only an LMO runs pfw,
+    and the projected solvers raise ``UnsupportedSetError`` on it.  What
+    ``lmo`` and ``project`` return is a vector of ``center.size`` entries in
+    any array-like form; the solvers read it by the same shape rule.
     """
 
     center: np.ndarray

@@ -81,9 +81,13 @@ class NuclearBall(FeasibleSet):
         down to a relative margin of 1e-13, except on decaying spectra
         (singular values over 12 decades), where points within 1e-8 of the
         boundary moved by up to 4e-9, relative.  Square roots of the Gram
-        eigenvalues moved rank-1 and rank-3 points lying 1e-7 inside.
+        eigenvalues moved rank-1 and rank-3 points lying 1e-7 inside.  Raises
+        ValueError on NaN or inf entries.
         """
         A = self._as_matrix(z)
+        # a finite sum of squares proves every entry finite, in one vdot
+        if not math.isfinite(np.vdot(A, A)) and not np.isfinite(A).all():
+            raise ValueError("matrix has non-finite entries")
         B, V = gram_eigh(A)
         BV = B @ V
         # np.linalg.norm's formula minus its wrapper; compress keeps what a mask would
@@ -131,8 +135,8 @@ class VertexPolytope(FeasibleSet):
     ``vertices.dot(d)`` runs BLAS gemv as a sum of columns, faster than row
     by row on ``num3_demo``'s 1024 x 10 cube; its scores may differ from the
     row-major product in their last bits.  ``.dot`` gives ``@``'s scores and
-    took 2.1 us against 2.7 us there.  ``center``, ``radius`` and
-    ``contains`` read the rows row-major and do not depend on the layout.
+    took 2.1 us against 2.7 us there.  ``center``, ``radius``, ``project``
+    and ``contains`` read the rows row-major and do not depend on the layout.
     """
 
     def __init__(self, vertices):
@@ -149,57 +153,74 @@ class VertexPolytope(FeasibleSet):
         # a fresh contiguous copy; argmin takes the lowest index on ties
         return self.vertices[scores.argmin()].copy()
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        """Whether the Euclidean distance from x to the hull is at most tol.
+    def project(self, z) -> np.ndarray:
+        """The nearest point of the hull: z + y, with y from Wolfe's loop
+        (``_nearest``) on the vertices shifted by -z; never calls ``self.lmo``.
+        It can miss near clusters of near-duplicate vertices, as ``contains``
+        can misread there, and z + y rounds at 1e-16 ||z||: a z 1e8 times the
+        hull's size away came back outside it.  Raises ValueError on NaN or
+        inf entries."""
+        z = _as_flat(z, self.vertices.shape[1])
+        if not np.isfinite(z).all():
+            raise ValueError("point has non-finite entries")
+        return z + _nearest(np.subtract(self.vertices, z, order="C"))
 
-        Wolfe's minimum-norm-point algorithm (Math. Programming 11, 1976)
-        on the vertices shifted by -x; see ``_hull_within``.  It scans
-        ``self.vertices`` and never calls ``self.lmo``.  NaN and inf entries
-        give False.
-        """
+    def contains(self, x, tol: float = 1e-9) -> bool:
+        """Whether the Euclidean distance from x to the hull is at most tol, by
+        Wolfe's loop with its membership exits (``_nearest``) on the vertices
+        shifted by -x; never calls ``self.lmo``.  NaN and inf give False."""
         x = _as_flat(x, self.vertices.shape[1])
         if not np.isfinite(x).all():
             return False
-        return _hull_within(np.subtract(self.vertices, x, order="C"), tol)
+        y = _nearest(np.subtract(self.vertices, x, order="C"), tol)
+        return math.sqrt(y.dot(y)) <= tol
 
 
-def _hull_within(P: np.ndarray, tol: float) -> bool:
-    """Whether the convex hull of P's rows comes within tol of the origin.
+def _nearest(P: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """The point y of the convex hull of P's rows nearest the origin.
 
-    Wolfe's algorithm keeps y, the point nearest the origin in the affine
-    hull of a few rows (the corral) with positive weights, so y lies in the
-    hull.  Each major cycle scores every row against y and adds the lowest
-    outside the corral; minor cycles then drop rows until the new y again
-    has positive weights, and ||y|| falls.  It ends on a certificate:
-    ||y|| <= tol (inside); every row scores above tol ||y||, a hyperplane
-    that keeps the hull tol away (outside); or a cycle that does not lower
-    ||y||, so y is the nearest point to rounding and ||y|| > tol (outside).
-    The last needs no score threshold: the lowest row is tried even where
-    its score lies within rounding of the corral's, which on thin hulls
-    still lowers ||y||.  The answer is exact up to the rounding of y, about
-    1e-16 times the rows' norms times the corral's condition: near-duplicate
-    vertices (spread below about 1e-6 of their norms) can make a point
-    inside read as outside.  Raises RuntimeError past 10 (m + n) major
-    cycles; the most any tested input took was 0.7 (m + n).
+    Wolfe's minimum-norm-point algorithm (Math. Programming 11, 1976) keeps
+    y, the point nearest the origin in the affine hull of a few rows (the
+    corral) with positive weights, so y lies in the hull.  Each major cycle
+    scores every row against y and adds the lowest outside the corral;
+    minor cycles then drop rows until the new y again has positive weights,
+    and ||y|| falls.  A cycle that does not lower ||y|| ends the loop with
+    the best y, the nearest point to rounding.  Without tol (``project``),
+    so does Wolfe's stop: no row outside the corral scores below ||y||^2 -
+    1e-16 max ||p||^2 (his 1e-12 fell short by 2e-6 of the norms in
+    near-duplicate clusters).  With tol (``contains``), ||y|| <= tol is the
+    verdict, and two exits certify it: ||y|| <= tol (inside), or every row
+    scoring above tol ||y||, a hyperplane that keeps the hull tol away
+    (outside).  Membership needs no score threshold: the lowest row is tried
+    even where its score lies within rounding of the corral's, which on thin
+    hulls still lowers ||y||.  The answer is exact up to the rounding of y,
+    about 1e-16 times the rows' norms times the corral's condition:
+    near-duplicate vertices (spread below about 1e-6 of their norms) can
+    make a point inside read as outside.  Raises RuntimeError past 10 (m + n)
+    major cycles; the most any tested input took was 0.7 (m + n).
     """
     m, n = P.shape
     sq = np.einsum("ij,ij->i", P, P)
+    slack = 1e-16 * sq.max()
     corral = [int(sq.argmin())]
     lam = np.ones(1)
-    best = math.inf
+    best, nearest = math.inf, P[corral[0]]
     for _ in range(10 * (m + n)):
         y = lam @ P[corral]
-        norm = math.sqrt(y.dot(y))
-        if norm <= tol:
-            return True
+        yy = y.dot(y)
+        norm = math.sqrt(yy)
+        if tol is not None and norm <= tol:
+            return y
         if norm >= best:
-            return False
-        best = norm
+            return nearest
+        best, nearest = norm, y
         scores = P @ y
-        if scores.min() > tol * norm:
-            return False
+        if tol is not None and scores.min() > tol * norm:
+            return y
         scores[corral] = math.inf
         k = int(scores.argmin())
+        if tol is None and scores[k] >= yy - slack:
+            return y
         corral.append(k)
         lam = np.append(lam, 0.0)
         while True:
@@ -217,7 +238,7 @@ def _hull_within(P: np.ndarray, tol: float) -> bool:
             keep = lam > 0
             corral = [i for i, kept in zip(corral, keep) if kept]
             lam = lam[keep] / lam[keep].sum()
-    raise RuntimeError("no membership certificate within the cycle limit")
+    raise RuntimeError("no nearest point within the cycle limit")
 
 
 def _affine_weights(C: np.ndarray) -> np.ndarray:

@@ -84,9 +84,11 @@ class TestConfigValidation:
                     small_config(experiment="num3_demo", n=3, algorithms=["pfw"])):
             ExperimentConfig(**dataclasses.asdict(cfg)).validate()
 
-    def test_num3_rejects_pgd(self):
-        with pytest.raises(ConfigError):
-            small_config(experiment="num3_demo", n=3)
+    def test_num3_runs_pgd(self):
+        # the polytope projects, so pgd runs on num3_demo, within its bound
+        points = run_experiment(small_config(experiment="num3_demo", n=3))
+        pgd = [p for p in points if p.algorithm == "pgd"]
+        assert len(pgd) == 2 and all(0.0 <= p.error <= p.bound for p in pgd)
 
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -195,10 +195,8 @@ _SETS = {
     "NuclearBall": NuclearBall(2, 3, 1.0),
     "VertexPolytope": VertexPolytope(np.eye(3)),
 }
-# every solver on every set it runs on; the projected ones need a projection
-_STARTS = [(solver, name) for solver in ("pfw", "pfw_stochastic") for name in _SETS] + [
-    (solver, name) for solver in ("pgd", "sgd") for name in ("Hypercube", "NuclearBall")
-]
+# every solver on every shipped set
+_STARTS = [(solver, name) for solver in ("pfw", "pfw_stochastic", "pgd", "sgd") for name in _SETS]
 
 
 def _run(solver, fs, x1):
@@ -218,7 +216,6 @@ def _run(solver, fs, x1):
 _SHAPE_CASES = [
     (f"{name}.{op}", fs.center.size, getattr(fs, op))
     for name, fs in _SETS.items() for op in ("lmo", "project", "contains")
-    if getattr(fs, op) is not None
 ] + [
     ("l1_distance.value", 3, l1_distance(np.zeros(3)).value),
     ("l1_distance.subgrad", 3, l1_distance(np.zeros(3)).subgrad),
@@ -288,8 +285,6 @@ def _shipped_outputs():
     ):
         d = fs.center.size
         for op in ("lmo", "project"):
-            if getattr(fs, op) is None:
-                continue
             for kind, v in (("random", 3.0 * rng.standard_normal(d)), ("zero", np.zeros(d))):
                 cases.append((f"{name}.{op}-{kind}", d, lambda f=getattr(fs, op), v=v: f(v)))
     obj = l1_distance(np.linspace(-1.0, 1.0, 4))

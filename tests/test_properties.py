@@ -133,6 +133,33 @@ def test_polytope_contains_decides(seed, k, p, scale, binary, repeats):
         assert not contains(x)
 
 
+@settings(PROPERTY, max_examples=60)
+@given(seed=seeds, k=st.integers(1, 30), p=st.integers(1, 8), scale=scales,
+       binary=st.booleans(), reach=st.floats(-12.0, 1.0).map(lambda e: 10.0**e))
+def test_polytope_projection_variational_inequality(seed, k, p, scale, binary, reach):
+    # the vertices as in test_polytope_contains_decides; z lies reach * scale
+    # from a convex combination, inside the hull or out
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 2, (k, p)) if binary else rng.standard_normal((k, p))
+    vertices = scale * base
+    poly = VertexPolytope(vertices)
+    poly.lmo = _no_lmo
+    twin = VertexPolytope(vertices)
+    twin.vertices = np.ascontiguousarray(poly.vertices)
+    x = rng.dirichlet(np.ones(k)) @ vertices
+    z = x + reach * scale * rng.standard_normal(p)
+    far = np.linalg.norm(vertices - z, axis=1).max()
+    # a point of the hull comes back to rounding
+    assert np.linalg.norm(poly.project(x) - x) <= 1e-14 * far + 1e-14 * scale
+    P = poly.project(z)
+    assert np.array_equal(twin.project(z), P)
+    assert poly.contains(P)
+    # <v - P, z - P> <= 0 for every vertex v, relative to ||z - P|| max|v|;
+    # the second term is P's rounding, which the residual reads through v - P
+    kkt = ((vertices - P) @ (z - P)).max()
+    assert kkt <= 1e-12 * np.linalg.norm(z - P) * np.abs(vertices).max() + 1e-14 * far**2
+
+
 @PROPERTY
 @given(shape=matrix_shapes, rank=st.sampled_from([None, 1, 3]), seed=seeds, scale=scales)
 def test_nuclear_lmo_beats_feasible_points(shape, rank, seed, scale):

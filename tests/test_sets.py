@@ -491,8 +491,8 @@ class TestVertexPolytope:
         # Wolfe's scans run on the same C-ordered array as before the
         # vertices were stored column-major, so they round as they did
         seen = []
-        within = sets._hull_within
-        monkeypatch.setattr(sets, "_hull_within", lambda P, tol: seen.append(P) or within(P, tol))
+        nearest = sets._nearest
+        monkeypatch.setattr(sets, "_nearest", lambda P, tol: seen.append(P) or nearest(P, tol))
         vertices = np.random.default_rng(5).standard_normal((7, 3))
         x = vertices.mean(axis=0)
         assert VertexPolytope(vertices).contains(x)
@@ -577,6 +577,55 @@ class TestVertexPolytope:
     def test_mixed_shapes_rejected(self):
         with pytest.raises(DimensionError):
             VertexPolytope([[0.0, 0.0], [1.0]])
+
+
+class TestVertexPolytopeProjection:
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_equals_clip_on_the_unit_cube(self, n):
+        # the hull of {0, 1}^n is the box [0, 1]^n
+        poly = VertexPolytope(list(itertools.product((0.0, 1.0), repeat=n)))
+        rng = np.random.default_rng(n)
+        for _ in range(100):
+            z = 0.5 + rng.standard_normal(n)
+            assert np.abs(poly.project(z) - np.clip(z, 0.0, 1.0)).max() <= 1e-14
+
+    @pytest.mark.parametrize("m, n", [(256, 10), (1024, 10), (1024, 50)])
+    def test_kkt_on_gaussian_hulls(self, m, n):
+        # <v - P, z - P> <= 0 for every vertex v, relative to ||z - P|| max|v|
+        rng = np.random.default_rng(m + n)
+        vertices = rng.standard_normal((m, n))
+        poly = VertexPolytope(vertices)
+        for _ in range(20):
+            z = 3.0 * rng.standard_normal(n)
+            P = poly.project(z)
+            kkt = ((vertices - P) @ (z - P)).max()
+            assert kkt <= 1e-12 * np.linalg.norm(z - P) * np.abs(vertices).max()
+            assert poly.contains(P)
+
+    @pytest.mark.parametrize("seed", [67, 113])
+    def test_inside_near_duplicate_clusters(self, seed):
+        # test_contains_inside_near_duplicate_clusters's points come back
+        # within 1e-11; a stop at Wolfe's 1e-12 max ||p||^2 left them 1e-4 away
+        rng = np.random.default_rng(seed)
+        vertices = rng.standard_normal((2, 9))[rng.integers(2, size=13)]
+        vertices = 100.0 * (vertices + 1e-6 * rng.standard_normal((13, 9)))
+        x = rng.dirichlet(np.ones(13)) @ vertices
+        assert np.linalg.norm(VertexPolytope(vertices).project(x) - x) <= 1e-11
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fs", [
+    pytest.param(NuclearBall(1, 5, 1.0), id="nuclear-1x5"),
+    pytest.param(NuclearBall(5, 1, 1.0), id="nuclear-5x1"),
+    pytest.param(NuclearBall(3, 3, 1.0), id="nuclear-3x3"),
+    pytest.param(NuclearBall(4, 6, 1.0), id="nuclear-4x6"),
+    pytest.param(VertexPolytope(np.eye(4)), id="polytope"),
+])
+def test_project_rejects_non_finite_entries(fs, bad):
+    z = np.ones(fs.center.size)
+    z[-1] = bad
+    with pytest.raises(ValueError, match="has non-finite entries$"):
+        fs.project(z)
 
 
 class TestLmoInsideBall:
